@@ -1,14 +1,17 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: check build vet test race chaos chaos-front bench bench-paper bench-compare lint fuzz-smoke obs-smoke
+.PHONY: check build vet test race chaos chaos-front bench bench-paper bench-compare lint fuzz-smoke obs-smoke benchmark-module
 
 # The tier-1 gate: everything must build, vet clean, pass the full
 # suite under the race detector (the context/cancellation paths are
 # concurrency-heavy; -race is not optional here), survive the seeded
 # chaos suite and the router chaos suite, lint clean under the repo's
 # own analyzer suite, and expose the observability surface end to end.
-check: build vet race chaos chaos-front lint obs-smoke
+# The repository benchmark is a nested module, outside ./..., that
+# imports core and pbio: it is vetted and tested here too, so an API
+# change that breaks it fails the gate.
+check: build vet race chaos chaos-front lint obs-smoke benchmark-module
 
 build:
 	$(GO) build ./...
@@ -50,18 +53,24 @@ lint:
 obs-smoke:
 	$(GO) run ./cmd/soapbench -obssmoke
 
-# Short fuzz pass over the three untrusted-input parsers. FUZZTIME=10s
+benchmark-module:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
+# Short fuzz pass over the untrusted-input parsers and the framed-TCP
+# surfaces (frame reader, server-side connection loop). FUZZTIME=10s
 # keeps it CI-sized; raise it locally for a real hunt.
 fuzz-smoke:
 	$(GO) test ./internal/pbio -run '^$$' -fuzz '^FuzzUnmarshal$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/xmlenc -run '^$$' -fuzz '^FuzzUnmarshal$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/soap -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/frame -run '^$$' -fuzz '^FuzzFrameRead$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzMuxServerConn$$' -fuzztime $(FUZZTIME)
 
 # Measure the zero-allocation wire hot path (codec plans, pooled
 # buffers and value slabs, multiplexed TCP pool) with -benchmem
 # semantics and record BENCH_pr4.json: ns/op, B/op, allocs/op for the
 # codec and the pooled echo round trip, plus throughput and p50/p99 RTT
-# at 1/8/64 concurrent callers over real TCP.
+# at 1/8/64 concurrent callers over real TCP (pool of 1 vs pool of 8).
 bench:
 	$(GO) run ./cmd/soapbench -hotpath -benchout BENCH_pr4.json
 

@@ -1,8 +1,8 @@
 // Command soapfront is the fault-tolerant, quality-aware SOAP-bin
-// router: one listener speaking the existing wire protocols (legacy
-// framed and multiplexed TCP), fanning calls out across a fleet of
-// backend servers with per-backend health probing, circuit breaking,
-// quality-weighted least-loaded routing, and bounded failover.
+// router: one listener speaking the framed, multiplexed TCP protocol
+// (core.ServeTCP), fanning calls out across a fleet of backend servers
+// with per-backend health probing, circuit breaking, quality-weighted
+// least-loaded routing, and bounded failover.
 //
 // The routed service is described by its WSDL; backends are named
 // endpoints serving that same service. WSDL carries no idempotency

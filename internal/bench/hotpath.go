@@ -29,9 +29,9 @@ import (
 //   - roundtrip: a complete binary echo invocation over Loopback, pooled
 //     vs the unpooled baseline (bufpool.SetEnabled(false) on the same
 //     code path);
-//   - tcp: real-socket echo at 1/8/64 concurrent callers, the legacy
-//     single-connection transport vs the multiplexed pool, with
-//     throughput and p50/p99 RTT.
+//   - tcp: real-socket echo at 1/8/64 concurrent callers, one
+//     multiplexed connection vs a pool of eight, with throughput and
+//     p50/p99 RTT.
 
 // Metric is one benchmark measurement.
 type Metric struct {
@@ -48,7 +48,7 @@ type RTT struct {
 	P99Micros     float64 `json:"p99_us"`
 }
 
-// TCPCell compares the two TCP transports at one concurrency level.
+// TCPCell compares the two pool widths at one concurrency level.
 type TCPCell struct {
 	Callers int     `json:"callers"`
 	Single  RTT     `json:"single_conn"`
@@ -111,7 +111,7 @@ func RunHotpath(w io.Writer, quick bool, jsonPath string) (*HotpathReport, error
 	rep.TCP = cells
 	rep.TCPServiceTimeUs = float64(tcpServiceTime.Microseconds())
 	fmt.Fprintf(w, "\ntcp echo, %v handler service time:\n", tcpServiceTime)
-	fmt.Fprintf(w, "%-8s %26s %26s %8s\n", "callers", "single-conn rps/p50/p99us", "pooled rps/p50/p99us", "speedup")
+	fmt.Fprintf(w, "%-8s %26s %26s %8s\n", "callers", "pool-of-1 rps/p50/p99us", "pool-of-8 rps/p50/p99us", "speedup")
 	for _, c := range rep.TCP {
 		fmt.Fprintf(w, "%-8d %10.0f %7.0f %7.0f %10.0f %7.0f %7.0f %7.2fx\n",
 			c.Callers, c.Single.ThroughputRPS, c.Single.P50Micros, c.Single.P99Micros,
@@ -207,17 +207,16 @@ func roundTripMetrics() RoundTrip {
 }
 
 // tcpServiceTime is the simulated handler service time for the TCP
-// sweep. The legacy transport serializes calls on one connection, so a
-// latency-bound service (real handlers do I/O; real networks have RTT)
-// caps it at 1/serviceTime regardless of offered load — exactly the
-// limit the multiplexed pool removes by pipelining. A zero-latency
-// loopback echo would instead measure the host's single-core codec
-// ceiling, which neither transport can beat.
+// sweep: a latency-bound service (real handlers do I/O; real networks
+// have RTT), so that concurrent calls overlap on the wire. A
+// zero-latency loopback echo would instead measure the host's
+// single-core codec ceiling, which no pool width can beat.
 const tcpServiceTime = time.Millisecond
 
 // tcpMetrics drives a real-socket echo rig — handlers take
-// tcpServiceTime each — at each concurrency level, once over the legacy
-// single-connection transport and once over the multiplexed pool.
+// tcpServiceTime each — at each concurrency level, once over a width-1
+// pool (every call multiplexed on one connection) and once over a pool
+// of eight connections.
 func tcpMetrics(quick bool) ([]TCPCell, error) {
 	fs := pbio.NewMemServer()
 	spec := echoSpec(2)
@@ -232,8 +231,7 @@ func tcpMetrics(quick bool) ([]TCPCell, error) {
 	}
 	defer ln.Close()
 
-	// ~total calls per cell; each caller gets an equal share so the
-	// serialized single-connection cells stay under a second each.
+	// ~total calls per cell; each caller gets an equal share.
 	total := 600
 	if quick {
 		total = 200
@@ -245,7 +243,7 @@ func tcpMetrics(quick bool) ([]TCPCell, error) {
 		if perCaller < 8 {
 			perCaller = 8
 		}
-		single := core.NewTCPTransport(ln.Addr())
+		single := core.NewTCPPoolTransport(ln.Addr(), 1)
 		singleRTT, err := driveTCP(newRigClient(spec, single, fs, core.WireBinary), callers, perCaller, v)
 		single.Close()
 		if err != nil {

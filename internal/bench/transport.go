@@ -60,7 +60,7 @@ func ablationTransport(w io.Writer, quick bool) error {
 		if err != nil {
 			return err
 		}
-		tcpTransport := core.NewTCPTransport(ln.Addr())
+		tcpTransport := core.NewTCPPoolTransport(ln.Addr(), 1)
 		tcpClient := core.NewClient(spec, tcpTransport, pbio.NewCodec(pbio.NewRegistry(fs)), core.WireBinary)
 		tcpUS := stats.Summarize(stats.Repeat(n, discard, func() float64 {
 			st, err := callStruct(tcpClient, v)

@@ -271,9 +271,6 @@ func (c *Client) Spec() *ServiceSpec { return c.spec }
 // call with its own timeout and re-sends failed attempts of idempotent
 // operations with exponential backoff.
 func (c *Client) Call(ctx context.Context, op string, hdr soap.Header, params ...soap.Param) (*Response, error) {
-	if ctx == nil {
-		ctx = context.Background() //lint:ignore ctxfirst nil-ctx compatibility fallback for legacy callers
-	}
 	opDef, ok := c.spec.Op(op)
 	if !ok {
 		return nil, fmt.Errorf("core: unknown operation %q", op)
@@ -388,13 +385,6 @@ func (c *Client) call(ctx context.Context, opDef *OpDef, hdr soap.Header, span *
 		span.Annotate(c.wire.String(), resp.Header[MsgTypeHeader], 0, attempts)
 	}
 	return resp, nil
-}
-
-// CallBackground is the no-context compatibility wrapper over Call, for
-// callers that have no budget to propagate (interactive tools, tests).
-func (c *Client) CallBackground(op string, hdr soap.Header, params ...soap.Param) (*Response, error) {
-	//lint:ignore ctxfirst no-context compatibility wrapper delegates with a root context by design
-	return c.Call(context.Background(), op, hdr, params...)
 }
 
 // roundTrip drives the transport, re-sending per the client's policy

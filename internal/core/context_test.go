@@ -72,7 +72,7 @@ func slowRigs(t *testing.T, handlerDelay time.Duration) map[string]*Client {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ln.Close() })
-	transport := NewTCPTransport(ln.Addr())
+	transport := NewTCPPoolTransport(ln.Addr(), 1)
 	t.Cleanup(func() { transport.Close() })
 	rigs["tcp"] = NewClient(slowSpec(), transport, pbio.NewCodec(pbio.NewRegistry(tfs)), WireBinary)
 

@@ -18,11 +18,16 @@
 // # Transports
 //
 // Loopback (in-process, for tests and benchmarks), HTTPTransport
-// (envelopes POSTed to an endpoint), TCPTransport (one framed
-// connection), and TCPPoolTransport (up to N multiplexed connections
-// with correlation IDs and least-loaded checkout). Server implements
-// http.Handler directly and ServeTCP accepts both framings, sniffing
-// the multiplex handshake.
+// (envelopes POSTed to an endpoint), and TCPPoolTransport (up to N
+// persistent multiplexed connections with correlation IDs and
+// least-loaded checkout; a pool of one is the single-connection
+// transport). Server implements http.Handler directly; ServeTCP serves
+// the one framed TCP protocol, whose every frame — like the PBIO format
+// server's — goes through internal/frame: length checked against a
+// bound before the body is allocated, body in a pooled buffer with
+// exactly one owner. TCPPoolTransport sends a request a second time
+// only when the first copy provably never left, so a non-idempotent
+// operation is never executed twice by the transport's own doing.
 //
 // # Resilience
 //

@@ -6,10 +6,12 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httptrace"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"soapbinq/internal/idl"
 	"soapbinq/internal/pbio"
@@ -111,13 +113,26 @@ func TestHTTPTransportErrors(t *testing.T) {
 
 // TestHTTPTransportReusesConnections drives sequential and concurrent
 // calls through the default (nil-Client) HTTPTransport and counts TCP
-// connections server-side: keep-alives must hold them far below the
-// call count. With net/http defaults this shape (many callers, one
-// endpoint) would redial constantly; the tuned shared client must not.
+// connections server-side. With net/http defaults this shape (many
+// callers, one endpoint) would redial constantly; the tuned shared
+// client must not: sequential calls share one connection, and once a
+// round of fully overlapping calls has opened one connection per caller,
+// later rounds open none. (How many connections the first concurrent
+// round opens is net/http's business — it dials speculatively — so no
+// ceiling is asserted on it.)
 func TestHTTPTransportReusesConnections(t *testing.T) {
+	const callers, rounds = 16, 4
+	var overlap atomic.Bool // when set, echo handlers wait until all callers are in flight
+	arrived := make(chan struct{}, callers)
+	release := make(chan struct{})
+
 	fs := pbio.NewMemServer()
 	srv := NewServer(testService(), pbio.NewCodec(pbio.NewRegistry(fs)))
 	srv.MustHandle("echo", func(_ *CallCtx, params []soap.Param) (idl.Value, error) {
+		if overlap.Load() {
+			arrived <- struct{}{}
+			<-release
+		}
 		return params[0].Value, nil
 	})
 	var conns atomic.Int64
@@ -134,9 +149,47 @@ func TestHTTPTransportReusesConnections(t *testing.T) {
 	client := NewClient(testService(), transport, pbio.NewCodec(pbio.NewRegistry(fs)), WireBinary)
 	payload := workload.NestedStruct(3, 1)
 
+	// call makes one invocation and returns once its connection is back
+	// in the client's idle pool. net/http puts it there from its own
+	// goroutine, after the caller has seen the body's EOF; a next call
+	// that raced that hand-back would find the pool empty and dial.
+	call := func() error {
+		idle := make(chan error, 1)
+		ctx := httptrace.WithClientTrace(context.Background(), &httptrace.ClientTrace{
+			PutIdleConn: func(err error) {
+				select {
+				case idle <- err:
+				default:
+				}
+			},
+		})
+		if _, err := client.Call(ctx, "echo", nil, soap.Param{Name: "payload", Value: payload}); err != nil {
+			return err
+		}
+		select {
+		case err := <-idle:
+			return err
+		case <-time.After(5 * time.Second):
+			return errors.New("connection never returned to the idle pool")
+		}
+	}
+	round := func() {
+		var wg sync.WaitGroup
+		for i := 0; i < callers; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if err := call(); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+
 	const sequential = 20
 	for i := 0; i < sequential; i++ {
-		if _, err := client.Call(context.Background(), "echo", nil, soap.Param{Name: "payload", Value: payload}); err != nil {
+		if err := call(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -144,25 +197,27 @@ func TestHTTPTransportReusesConnections(t *testing.T) {
 		t.Errorf("%d sequential calls used %d connections, want 1", sequential, n)
 	}
 
-	const callers, rounds = 16, 4
-	var wg sync.WaitGroup
-	for i := 0; i < callers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < rounds; j++ {
-				if _, err := client.Call(context.Background(), "echo", nil, soap.Param{Name: "payload", Value: payload}); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}()
+	// Round 1: every caller in flight at once, so the idle pool ends up
+	// holding at least one connection per caller.
+	overlap.Store(true)
+	go func() {
+		for i := 0; i < callers; i++ {
+			<-arrived
+		}
+		overlap.Store(false)
+		close(release)
+	}()
+	round()
+	opened := conns.Load()
+	if opened < callers {
+		t.Fatalf("%d overlapping calls used %d connections", callers, opened)
 	}
-	wg.Wait()
-	// At most one connection per concurrent caller, all kept alive across
-	// rounds (pool capacity is MaxIdleConnsPerHost=64 > callers).
-	if n := conns.Load(); n > callers+1 {
-		t.Errorf("%d concurrent calls used %d connections, want <= %d", callers*rounds, n, callers+1)
+	for r := 2; r <= rounds; r++ {
+		round()
+	}
+	if n := conns.Load(); n != opened {
+		t.Errorf("rounds 2..%d opened %d new connections, want 0 (pool capacity is MaxIdleConnsPerHost=64 > %d callers)",
+			rounds, n-opened, callers)
 	}
 }
 

@@ -59,7 +59,7 @@ var (
 	}
 
 	tcpDials = obs.NewCounter("soapbinq_tcp_dials_total",
-		"TCP connections dialed (legacy and multiplexed transports)")
+		"TCP connections dialed and handshaken (pool connections and probe exchanges)")
 	muxConns = obs.NewGauge("soapbinq_tcpmux_conns_count",
 		"live multiplexed TCP connections, client side")
 	muxInflight = obs.NewGauge("soapbinq_tcpmux_inflight_count",

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -12,18 +11,42 @@ import (
 	"time"
 
 	"soapbinq/internal/bufpool"
+	"soapbinq/internal/frame"
 )
 
-// Raw TCP transport for SOAP-bin. The paper attributes SOAP-bin's gap
+// Framed TCP binding for SOAP-bin. The paper attributes SOAP-bin's gap
 // against Sun RPC "mainly to SOAP-bin's use of HTTP for its transactions";
 // for the high-performance mode's internal back-end communications no
-// HTTP semantics are needed, so this transport exchanges envelopes over a
-// persistent framed TCP connection instead:
+// HTTP semantics are needed, so envelopes travel over persistent,
+// multiplexed TCP connections instead. There is one protocol on the
+// port. A client opens with a 5-byte handshake, "SBQM" + version, and
+// the server closes any connection that opens with anything else. After
+// the handshake both directions carry internal/frame frames whose
+// payload starts with a fixed header:
 //
-//	u32 big-endian frame length | 1-byte wire code | envelope bytes
+//	request:  u32 BE length | u64 BE id | u8 wire code |
+//	          u16 BE action length | action | envelope bytes
+//	response: u32 BE length | u64 BE id | u8 wire code | envelope bytes
 //
-// Requests carry an extra length-prefixed action string before the body
-// (XML wires need it; the binary envelope carries its own op).
+// (XML wires need the action; the binary envelope carries its own op.)
+//
+// A connection carries many calls at once: every frame is tagged with a
+// correlation ID, the server dispatches requests concurrently, and the
+// client's per-connection reader routes responses — in whatever order
+// they return — to their waiting callers. TCPPoolTransport (tcpmux.go)
+// spreads calls over up to N such connections.
+//
+// Cancellation abandons, never corrupts: a caller whose context ends
+// deregisters its correlation ID and returns immediately; the response,
+// whenever it arrives, is read whole (keeping the stream framed) and
+// dropped. A connection is torn down only on real I/O errors — a write
+// that fails partway has corrupted the stream, so the connection is
+// failed and every call pending on it is woken with the error.
+//
+// Buffers: frame.Read hands each frame body to exactly one owner. The
+// server's owner is the request goroutine, which releases the body once
+// Process has returned; the client's is the caller that registered the
+// ID, or the reader itself when that caller has gone.
 
 const (
 	tcpWireBinary     = 1
@@ -31,7 +54,13 @@ const (
 	tcpWireXMLDeflate = 3
 
 	maxTCPFrame = 256 << 20
+
+	muxVersion = 1
+	muxHdr     = frame.LenSize + 8 + 1 // length prefix + id + wire code
 )
+
+// muxHello is the client handshake.
+var muxHello = [5]byte{'S', 'B', 'Q', 'M', muxVersion}
 
 func wireToCode(ct string) (byte, error) {
 	switch ct {
@@ -61,10 +90,9 @@ func codeToWire(code byte) (string, error) {
 
 // Processor handles one serialized envelope and always answers with one
 // — failures become fault envelopes, never errors. It is the surface the
-// TCP listeners (legacy and multiplexed alike) serve: *Server implements
-// it by dispatching to handlers, and the front router implements it by
-// forwarding the raw envelope to a backend, which is what lets a router
-// speak both wire protocols on a shared listener without re-encoding.
+// TCP listener serves: *Server implements it by dispatching to handlers,
+// and the front router implements it by forwarding the raw envelope to a
+// backend, without re-encoding.
 //
 // The returned body is owned by the caller and may be recycled with
 // bufpool.Put once written.
@@ -74,7 +102,7 @@ type Processor interface {
 
 var _ Processor = (*Server)(nil)
 
-// TCPListener serves a Processor over raw TCP framing.
+// TCPListener serves a Processor over the framed TCP protocol.
 type TCPListener struct {
 	proc   Processor
 	ctx    context.Context // parent of every request's context
@@ -153,118 +181,65 @@ func (l *TCPListener) Close() error {
 	return nil
 }
 
+// serveConn handles one connection: handshake, then requests dispatched
+// concurrently (that is the pipelining) with responses serialized on a
+// write lock. The connection's lifetime bounds its handlers. Any
+// malformed input — wrong handshake, bad length, short action, unknown
+// wire code — closes the connection without a reply.
 func (l *TCPListener) serveConn(conn net.Conn) {
+	var wmu sync.Mutex
+	var wg sync.WaitGroup
 	defer func() {
+		wg.Wait()
 		conn.Close()
 		l.mu.Lock()
 		delete(l.conns, conn)
 		l.mu.Unlock()
 	}()
-	// Protocol sniff: a multiplexed client opens with the "SBQM"
-	// handshake, a legacy client with a frame length. The two cannot
-	// collide — see the protocol note in tcpmux.go.
-	var first [4]byte
-	if _, err := io.ReadFull(conn, first[:]); err != nil {
+	var hello [len(muxHello)]byte
+	if _, err := io.ReadFull(conn, hello[:]); err != nil || hello != muxHello {
 		return
 	}
-	if first == muxMagic {
-		var ver [1]byte
-		if _, err := io.ReadFull(conn, ver[:]); err != nil || ver[0] != muxVersion {
-			return
-		}
-		l.serveMux(conn)
-		return
-	}
-	l.serveLegacy(io.MultiReader(bytes.NewReader(first[:]), conn), conn)
-}
-
-// serveLegacy is the one-exchange-at-a-time framed loop; r carries any
-// bytes the protocol sniff already consumed.
-func (l *TCPListener) serveLegacy(r io.Reader, conn net.Conn) {
+	var hdr [muxHdr]byte // one scratch header per connection, reused by every read
 	for {
-		code, action, body, err := readTCPRequest(r)
+		payload, err := frame.Read(conn, hdr[:], maxTCPFrame)
 		if err != nil {
 			return
 		}
-		ct, err := codeToWire(code)
-		if err != nil {
-			bufpool.Put(body)
+		id := binary.BigEndian.Uint64(hdr[frame.LenSize:])
+		ct, err := codeToWire(hdr[muxHdr-1])
+		if err != nil || len(payload) < 2 {
+			bufpool.Put(payload)
 			return
 		}
-		respCT, respBody := l.proc.Process(l.ctx, ct, action, body)
-		bufpool.Put(body) // Process copies what it keeps; the frame buffer is free
-		respCode, err := wireToCode(respCT)
-		if err != nil {
+		alen := int(binary.BigEndian.Uint16(payload))
+		if len(payload)-2 < alen {
+			bufpool.Put(payload)
 			return
 		}
-		werr := writeTCPFrame(conn, respCode, respBody)
-		bufpool.Put(respBody)
-		if werr != nil {
-			return
-		}
+		action := string(payload[2 : 2+alen])
+		body := payload[2+alen:]
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			respCT, respBody := l.proc.Process(l.ctx, ct, action, body)
+			bufpool.Put(payload) // body's backing buffer; Process is done with it
+			defer bufpool.Put(respBody)
+			respCode, err := wireToCode(respCT)
+			if err != nil {
+				return
+			}
+			var rh [muxHdr]byte
+			binary.BigEndian.PutUint64(rh[frame.LenSize:], id)
+			rh[muxHdr-1] = respCode
+			wmu.Lock()
+			err = frame.Write(conn, rh[:], respBody, maxTCPFrame)
+			wmu.Unlock()
+			if err != nil {
+				conn.Close() // partial response frame: stream corrupt
+			}
+		}()
 	}
-}
-
-// TCPTransport is a Transport over one persistent raw TCP connection.
-// Safe for concurrent use; calls serialize on the connection.
-type TCPTransport struct {
-	addr string
-
-	mu   sync.Mutex
-	conn net.Conn
-}
-
-// NewTCPTransport returns a transport for the SOAP-bin TCP endpoint at
-// addr, dialing lazily.
-func NewTCPTransport(addr string) *TCPTransport {
-	return &TCPTransport{addr: addr}
-}
-
-// Close drops the connection.
-func (t *TCPTransport) Close() error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.conn != nil {
-		err := t.conn.Close()
-		t.conn = nil
-		return err
-	}
-	return nil
-}
-
-// RoundTrip implements Transport. Context deadlines become connection
-// read/write deadlines; plain cancellation is enforced by a watcher that
-// yanks the in-flight I/O. A connection abandoned mid-frame is poisoned
-// and dropped so the next call redials cleanly.
-func (t *TCPTransport) RoundTrip(ctx context.Context, req *WireRequest) (*WireResponse, error) {
-	code, err := wireToCode(req.ContentType)
-	if err != nil {
-		return nil, err
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	resp, err := t.tryOnce(ctx, code, req)
-	if err == nil {
-		return resp, nil
-	}
-	t.dropConn()
-	// A done context is final: no reconnect, and the caller sees the
-	// context's own error.
-	if ce := ctxTimeout(ctx, err); ce != nil {
-		return nil, ce
-	}
-	// One reconnect attempt for stale connections.
-	resp, err = t.tryOnce(ctx, code, req)
-	if err != nil {
-		t.dropConn()
-		if ce := ctxTimeout(ctx, err); ce != nil {
-			return nil, ce
-		}
-	}
-	return resp, err
 }
 
 // ctxTimeout attributes a transport failure to the context when the
@@ -286,185 +261,28 @@ func ctxTimeout(ctx context.Context, err error) error {
 	return nil
 }
 
-// dropConn closes and forgets the connection (holding t.mu).
-func (t *TCPTransport) dropConn() {
-	if t.conn != nil {
-		t.conn.Close()
-		t.conn = nil
-	}
-}
-
-func (t *TCPTransport) tryOnce(ctx context.Context, code byte, req *WireRequest) (*WireResponse, error) {
-	if t.conn == nil {
-		var d net.Dialer
-		conn, err := d.DialContext(ctx, "tcp", t.addr)
-		if err != nil {
-			return nil, fmt.Errorf("core: tcp dial: %w", err)
-		}
-		tcpDials.Inc()
-		t.conn = conn
-	}
-	conn := t.conn
-	// Derive I/O deadlines from the context; clear any deadline a
-	// previous call left behind.
-	if deadline, ok := ctx.Deadline(); ok {
-		conn.SetDeadline(deadline)
-	} else {
-		conn.SetDeadline(time.Time{})
-	}
-	// Mid-call cancellation: unblock the pending read/write immediately
-	// rather than waiting for a deadline that may not exist.
-	if ctx.Done() != nil {
-		watchStop := make(chan struct{})
-		watchDone := make(chan struct{})
-		go func() {
-			defer close(watchDone)
-			select {
-			case <-ctx.Done():
-				conn.SetDeadline(time.Unix(1, 0)) // in the past: fails in-flight I/O
-			case <-watchStop:
-			}
-		}()
-		defer func() {
-			close(watchStop)
-			<-watchDone
-		}()
-	}
-	if err := writeTCPRequest(conn, code, req.Action, req.Body); err != nil {
-		return nil, err
-	}
-	respCode, body, err := readTCPFrame(conn)
-	if err != nil {
-		return nil, err
-	}
-	ct, err := codeToWire(respCode)
-	if err != nil {
-		return nil, err
-	}
-	return &WireResponse{ContentType: ct, Body: body}, nil
-}
-
-// PooledResponseBodies implements PooledBodyTransport: response bodies
-// come from readTCPFrame's pooled buffers and are owned by the caller.
-func (t *TCPTransport) PooledResponseBodies() bool { return true }
-
-var (
-	_ Transport           = (*TCPTransport)(nil)
-	_ PooledBodyTransport = (*TCPTransport)(nil)
-)
-
-// Framing helpers. Requests embed the action; responses are bare frames.
-
-func writeTCPRequest(w io.Writer, code byte, action string, body []byte) error {
-	if len(action) > 0xFFFF {
-		return errors.New("core: action too long")
-	}
-	n := 1 + 2 + len(action) + len(body)
-	hdr := make([]byte, 0, 7+len(action))
-	hdr = binary.BigEndian.AppendUint32(hdr, uint32(n))
-	hdr = append(hdr, code)
-	hdr = binary.BigEndian.AppendUint16(hdr, uint16(len(action)))
-	hdr = append(hdr, action...)
-	if _, err := w.Write(hdr); err != nil {
-		return err
-	}
-	_, err := w.Write(body)
-	return err
-}
-
-func readTCPRequest(r io.Reader) (code byte, action string, body []byte, err error) {
-	code, payload, err := readTCPFrame(r)
-	if err != nil {
-		return 0, "", nil, err
-	}
-	if len(payload) < 2 {
-		return 0, "", nil, errors.New("core: truncated tcp request")
-	}
-	n := int(binary.BigEndian.Uint16(payload))
-	payload = payload[2:]
-	if len(payload) < n {
-		return 0, "", nil, errors.New("core: truncated action")
-	}
-	return code, string(payload[:n]), payload[n:], nil
-}
-
-func writeTCPFrame(w io.Writer, code byte, body []byte) error {
-	hdr := make([]byte, 5)
-	binary.BigEndian.PutUint32(hdr, uint32(len(body)+1))
-	hdr[4] = code
-	if _, err := w.Write(hdr); err != nil {
-		return err
-	}
-	_, err := w.Write(body)
-	return err
-}
-
-// readTCPFrame reads one frame into a pooled buffer; the returned body
-// (and hence its backing buffer) is owned by the caller.
-//
-//soaplint:hotpath
-func readTCPFrame(r io.Reader) (byte, []byte, error) {
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
-		return 0, nil, err
-	}
-	n := binary.BigEndian.Uint32(lenBuf[:])
-	if n == 0 || n > maxTCPFrame {
-		return 0, nil, fmt.Errorf("core: bad tcp frame length %d", n)
-	}
-	buf := bufpool.Get(int(n))[:n]
-	if _, err := io.ReadFull(r, buf); err != nil {
-		bufpool.Put(buf)
-		return 0, nil, err
-	}
-	return buf[0], buf[1:], nil
-}
-
 // ProbeTCP performs one active health-check round trip against a
-// SOAP-bin TCP endpoint: dial, send a minimal legacy-framed XML request
-// (empty action — the server answers it with a Client fault envelope),
-// and read the response frame. A healthy endpoint completes the whole
-// exchange; a dead one fails the dial, and a gray-failed one — accepting
-// connections but never answering (the blackhole fault) — fails the
-// read at ctx's deadline. Any well-formed response frame, fault
-// included, counts as healthy: the probe tests the request path, not the
-// application.
+// SOAP-bin TCP endpoint: dial a fresh connection, handshake, send a
+// minimal XML request (empty action — the server answers it with a
+// Client fault envelope) and wait for its response frame. A healthy
+// endpoint completes the whole exchange; a dead one fails the dial, and
+// a gray-failed one — accepting connections but never answering (the
+// blackhole fault) — fails the wait when ctx ends. Any well-formed
+// response frame, fault included, counts as healthy: the probe tests the
+// request path, not the application.
 func ProbeTCP(ctx context.Context, addr string) error {
-	var d net.Dialer
-	conn, err := d.DialContext(ctx, "tcp", addr)
+	m, err := dialMux(ctx, addr)
 	if err != nil {
-		return fmt.Errorf("core: probe dial: %w", err)
+		return fmt.Errorf("core: probe: %w", err)
 	}
-	defer conn.Close()
-	if deadline, ok := ctx.Deadline(); ok {
-		conn.SetDeadline(deadline)
-	}
-	if ctx.Done() != nil {
-		watchStop := make(chan struct{})
-		watchDone := make(chan struct{})
-		go func() {
-			defer close(watchDone)
-			select {
-			case <-ctx.Done():
-				conn.SetDeadline(time.Unix(1, 0)) // in the past: fails in-flight I/O
-			case <-watchStop:
-			}
-		}()
-		defer func() {
-			close(watchStop)
-			<-watchDone
-		}()
-	}
-	if err := writeTCPRequest(conn, tcpWireXML, "", nil); err != nil {
-		return fmt.Errorf("core: probe write: %w", err)
-	}
-	_, body, err := readTCPFrame(conn)
+	defer m.fail(errMuxClosed)
+	r, _, err := m.call(ctx, tcpWireXML, "", nil)
 	if err != nil {
 		if ce := ctxTimeout(ctx, err); ce != nil {
-			return fmt.Errorf("core: probe: %w", ce)
+			err = ce
 		}
-		return fmt.Errorf("core: probe read: %w", err)
+		return fmt.Errorf("core: probe: %w", err)
 	}
-	bufpool.Put(body)
+	bufpool.Put(r.body)
 	return nil
 }

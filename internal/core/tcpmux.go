@@ -5,61 +5,19 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"soapbinq/internal/bufpool"
+	"soapbinq/internal/frame"
 	"soapbinq/internal/soap"
 )
 
-// Multiplexed TCP: the pooled, pipelined sibling of TCPTransport.
-//
-// The legacy framed-TCP transport serializes every call on one
-// connection: under concurrency, callers queue on the connection mutex
-// and the wire sits idle between a request's last byte and its
-// response's first. The multiplexed protocol removes both limits:
-//
-//   - A connection carries many calls at once. Every frame is tagged
-//     with a u64 correlation ID; a per-connection reader goroutine
-//     dispatches responses to their waiting callers, so requests
-//     pipeline and responses may return out of order.
-//   - TCPPoolTransport spreads calls across N such connections,
-//     checking out the least-loaded live connection per call and
-//     redialing dead ones on demand.
-//
-// Wire format, after a 5-byte client handshake ("SBQM" + version):
-//
-//	request:  u32 BE frame length | u64 BE id | u8 wire code |
-//	          u16 BE action length | action | envelope bytes
-//	response: u32 BE frame length | u64 BE id | u8 wire code | envelope
-//
-// The handshake makes the protocol self-selecting on the server's
-// existing TCP port: a legacy exchange starts with a frame length, and
-// "SBQM" read as a length is 0x5342514D ≈ 1.4 GiB — far above
-// maxTCPFrame, so no legacy client can ever begin with those bytes.
-// TCPListener sniffs the first four bytes of each connection and serves
-// whichever protocol the client speaks.
-//
-// Cancellation abandons, never corrupts: a caller whose context ends
-// deregisters its correlation ID and returns immediately; the response,
-// whenever it arrives, is read fully (keeping the stream framed) and
-// dropped. A connection is only torn down on real I/O errors — a write
-// that fails partway has corrupted the outbound stream, so the
-// connection is failed and every pending call on it is woken with the
-// error.
-
-const (
-	muxVersion  = 1
-	muxRespHdr  = 8 + 1     // id + wire code
-	muxReqFixed = 8 + 1 + 2 // id + wire code + action length
-)
-
-// muxMagic is the client handshake prefix. See the protocol note above
-// for why it cannot collide with a legacy frame.
-var muxMagic = [4]byte{'S', 'B', 'Q', 'M'}
+// Client side of the framed TCP protocol (see tcp.go for the wire
+// format): muxConn is one multiplexed connection, TCPPoolTransport a
+// pool of them.
 
 // errMuxClosed reports a call on a closed pool.
 var errMuxClosed = errors.New("core: tcp pool closed")
@@ -95,11 +53,10 @@ func dialMux(ctx context.Context, addr string) (*muxConn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: tcp dial: %w", err)
 	}
-	hello := [5]byte{muxMagic[0], muxMagic[1], muxMagic[2], muxMagic[3], muxVersion}
 	if deadline, ok := ctx.Deadline(); ok {
 		conn.SetWriteDeadline(deadline)
 	}
-	if _, err := conn.Write(hello[:]); err != nil {
+	if _, err := conn.Write(muxHello[:]); err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("core: mux handshake: %w", err)
 	}
@@ -115,12 +72,14 @@ func dialMux(ctx context.Context, addr string) (*muxConn, error) {
 // connection dies. Responses for abandoned IDs are dropped whole, which
 // is what keeps cancellation from corrupting the stream.
 func (m *muxConn) readLoop() {
+	var hdr [muxHdr]byte // one scratch header per connection, reused by every read
 	for {
-		id, code, body, err := readMuxFrame(m.conn, muxRespHdr)
+		body, err := frame.Read(m.conn, hdr[:], maxTCPFrame)
 		if err != nil {
 			m.fail(err)
 			return
 		}
+		id, code := binary.BigEndian.Uint64(hdr[frame.LenSize:]), hdr[muxHdr-1]
 		m.mu.Lock()
 		ch, ok := m.pending[id]
 		if ok {
@@ -161,14 +120,17 @@ func (m *muxConn) isDead() bool {
 
 // call performs one correlated exchange. On context expiry the call is
 // abandoned: the ID is deregistered, the caller returns ctx.Err(), and
-// the connection stays healthy for its other users.
-func (m *muxConn) call(ctx context.Context, code byte, action string, body []byte) (muxReply, error) {
+// the connection stays healthy for its other users. sent reports whether
+// the request frame went out whole: an error with sent false means the
+// peer provably never saw the request (the connection was already dead,
+// or the write itself failed), so it may be sent again elsewhere without
+// risking a second execution.
+func (m *muxConn) call(ctx context.Context, code byte, action string, body []byte) (r muxReply, sent bool, err error) {
 	ch := make(chan muxReply, 1)
 	m.mu.Lock()
-	if m.dead != nil {
-		err := m.dead
+	if err = m.dead; err != nil {
 		m.mu.Unlock()
-		return muxReply{}, err
+		return muxReply{}, false, err
 	}
 	m.nextID++
 	id := m.nextID
@@ -181,22 +143,19 @@ func (m *muxConn) call(ctx context.Context, code byte, action string, body []byt
 		muxInflight.Add(-1)
 	}()
 
-	if err := m.writeRequest(ctx, id, code, action, body); err != nil {
+	if err = m.writeRequest(ctx, id, code, action, body); err != nil {
 		// A partial frame corrupts the outbound stream for everyone:
 		// fail the whole connection, not just this call.
 		m.fail(err)
 		m.forget(id)
-		return muxReply{}, err
+		return muxReply{}, false, err
 	}
 	select {
-	case r := <-ch:
-		if r.err != nil {
-			return muxReply{}, r.err
-		}
-		return r, nil
+	case r = <-ch:
+		return r, true, r.err
 	case <-ctx.Done():
 		m.forget(id)
-		return muxReply{}, ctx.Err()
+		return muxReply{}, true, ctx.Err()
 	}
 }
 
@@ -226,12 +185,7 @@ func (m *muxConn) writeRequest(ctx context.Context, id uint64, code byte, action
 	if len(action) > 0xFFFF {
 		return errors.New("core: action too long")
 	}
-	n := muxReqFixed + len(action) + len(body)
-	if n > maxTCPFrame {
-		return fmt.Errorf("core: request exceeds %d byte frame limit", maxTCPFrame)
-	}
-	hdr := bufpool.Get(4 + muxReqFixed + len(action))
-	hdr = binary.BigEndian.AppendUint32(hdr, uint32(n))
+	hdr := bufpool.Get(muxHdr + 2 + len(action))[:frame.LenSize]
 	hdr = binary.BigEndian.AppendUint64(hdr, id)
 	hdr = append(hdr, code)
 	hdr = binary.BigEndian.AppendUint16(hdr, uint16(len(action)))
@@ -245,99 +199,7 @@ func (m *muxConn) writeRequest(ctx context.Context, id uint64, code byte, action
 	} else {
 		m.conn.SetWriteDeadline(time.Time{})
 	}
-	if _, err := m.conn.Write(hdr); err != nil {
-		return err
-	}
-	_, err := m.conn.Write(body)
-	return err
-}
-
-// readMuxFrame reads one correlated frame: length, id, wire code, and
-// the remaining payload (in a pooled buffer the caller owns). minHdr is
-// the smallest legal frame for the direction being read.
-func readMuxFrame(r io.Reader, minHdr int) (id uint64, code byte, payload []byte, err error) {
-	var hdr [4 + muxRespHdr]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, 0, nil, err
-	}
-	n := int(binary.BigEndian.Uint32(hdr[:4]))
-	if n < minHdr || n > maxTCPFrame {
-		return 0, 0, nil, fmt.Errorf("core: bad mux frame length %d", n)
-	}
-	id = binary.BigEndian.Uint64(hdr[4:12])
-	code = hdr[12]
-	rest := n - muxRespHdr
-	payload = bufpool.Get(rest)[:rest]
-	if _, err := io.ReadFull(r, payload); err != nil {
-		bufpool.Put(payload)
-		return 0, 0, nil, err
-	}
-	return id, code, payload, nil
-}
-
-// writeMuxResponse frames and writes one server response.
-func writeMuxResponse(w io.Writer, id uint64, code byte, body []byte) error {
-	n := muxRespHdr + len(body)
-	if n > maxTCPFrame {
-		return fmt.Errorf("core: response exceeds %d byte frame limit", maxTCPFrame)
-	}
-	var hdr [4 + muxRespHdr]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(n))
-	binary.BigEndian.PutUint64(hdr[4:12], id)
-	hdr[12] = code
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(body)
-	return err
-}
-
-// serveMux handles one multiplexed connection server-side: requests are
-// dispatched concurrently (that is the pipelining), responses serialize
-// on a write lock. The connection's lifetime bounds its handlers.
-func (l *TCPListener) serveMux(conn net.Conn) {
-	var wmu sync.Mutex
-	var wg sync.WaitGroup
-	defer wg.Wait()
-	for {
-		id, code, payload, err := readMuxFrame(conn, muxReqFixed)
-		if err != nil {
-			return
-		}
-		if len(payload) < 2 {
-			bufpool.Put(payload)
-			return
-		}
-		alen := int(binary.BigEndian.Uint16(payload))
-		if len(payload)-2 < alen {
-			bufpool.Put(payload)
-			return
-		}
-		action := string(payload[2 : 2+alen])
-		body := payload[2+alen:]
-		ct, err := codeToWire(code)
-		if err != nil {
-			bufpool.Put(payload)
-			return
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			respCT, respBody := l.proc.Process(l.ctx, ct, action, body)
-			bufpool.Put(payload) // body's backing buffer; Process is done with it
-			respCode, err := wireToCode(respCT)
-			if err != nil {
-				return
-			}
-			wmu.Lock()
-			err = writeMuxResponse(conn, id, respCode, respBody)
-			wmu.Unlock()
-			bufpool.Put(respBody) // Process output is always a fresh or pooled buffer
-			if err != nil {
-				conn.Close() // partial response frame: stream corrupt
-			}
-		}()
-	}
+	return frame.Write(m.conn, hdr, body, maxTCPFrame)
 }
 
 // TCPPoolTransport is a Transport over a pool of multiplexed TCP
@@ -501,9 +363,14 @@ func (t *TCPPoolTransport) checkout(ctx context.Context) (*muxConn, error) {
 	return t.checkout(ctx)
 }
 
-// RoundTrip implements Transport. A connection-level failure is retried
-// once on a fresh connection (matching TCPTransport's single reconnect);
-// a done context is final and surfaces the context's own error.
+// RoundTrip implements Transport. The transport itself sends a request
+// again, once and on a fresh connection, only when the first attempt
+// provably never reached the peer — the checked-out connection was
+// already dead, or the frame write failed. An error after the frame
+// went out is returned as it is: whether the operation ran is unknown,
+// and sending again is the caller's decision (CallPolicy and front apply
+// the idempotency rule). A done context is final and surfaces the
+// context's own error.
 func (t *TCPPoolTransport) RoundTrip(ctx context.Context, req *WireRequest) (*WireResponse, error) {
 	code, err := wireToCode(req.ContentType)
 	if err != nil {
@@ -514,13 +381,12 @@ func (t *TCPPoolTransport) RoundTrip(ctx context.Context, req *WireRequest) (*Wi
 	}
 	t.leases.Add(1)
 	defer t.leases.Add(-1)
-	var lastErr error
-	for attempt := 0; attempt < 2; attempt++ {
+	for attempt := 0; ; attempt++ {
 		m, err := t.checkout(ctx)
 		if err != nil {
 			return nil, err
 		}
-		r, err := m.call(ctx, code, req.Action, req.Body)
+		r, sent, err := m.call(ctx, code, req.Action, req.Body)
 		if err == nil {
 			ct, cerr := codeToWire(r.code)
 			if cerr != nil {
@@ -531,13 +397,14 @@ func (t *TCPPoolTransport) RoundTrip(ctx context.Context, req *WireRequest) (*Wi
 		if ce := ctxTimeout(ctx, err); ce != nil {
 			return nil, ce
 		}
-		lastErr = err
+		if sent || attempt > 0 {
+			return nil, err
+		}
 	}
-	return nil, lastErr
 }
 
 // PooledResponseBodies implements PooledBodyTransport: response bodies
-// come from readMuxFrame's pooled buffers and are owned by the caller.
+// come from frame.Read's pooled buffers and are owned by the caller.
 func (t *TCPPoolTransport) PooledResponseBodies() bool { return true }
 
 var (

@@ -3,10 +3,15 @@ package core
 import (
 	"context"
 	"errors"
+	"io"
+	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"soapbinq/internal/bufpool"
+	"soapbinq/internal/frame"
 	"soapbinq/internal/idl"
 	"soapbinq/internal/pbio"
 	"soapbinq/internal/soap"
@@ -180,8 +185,10 @@ func TestTCPPoolReconnects(t *testing.T) {
 		c.Close()
 	}
 	ln.mu.Unlock()
-	// The client side notices asynchronously; the transport's one-retry
-	// plus health-aware checkout must absorb the dead connections.
+	// The client side notices asynchronously: until its reader has seen
+	// the close, a call may still go out on a dying connection and fail
+	// (the transport does not send it twice); once it has, health-aware
+	// checkout redials.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		_, err := client.Call(context.Background(), "echo", nil, soap.Param{Name: "payload", Value: payload})
@@ -192,6 +199,119 @@ func TestTCPPoolReconnects(t *testing.T) {
 			t.Fatalf("pool did not recover: %v", err)
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestTCPPoolSequentialCallsShareConnection: a width-1 pool is the
+// single-connection transport — every call rides the one connection.
+func TestTCPPoolSequentialCallsShareConnection(t *testing.T) {
+	rig := newMuxRig(t, WireBinary, 1)
+	payload := workload.NestedStruct(3, 1)
+	for i := 0; i < 25; i++ {
+		if _, err := rig.client.Call(context.Background(), "echo", nil, soap.Param{Name: "payload", Value: payload}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rig.ln.mu.Lock()
+	conns := len(rig.ln.conns)
+	rig.ln.mu.Unlock()
+	if conns != 1 {
+		t.Fatalf("25 sequential calls used %d connections, want 1", conns)
+	}
+}
+
+func TestTCPPoolDialFailure(t *testing.T) {
+	tr := NewTCPPoolTransport("127.0.0.1:1", 1)
+	defer tr.Close()
+	if _, err := tr.RoundTrip(context.Background(), &WireRequest{ContentType: ContentTypeBinary, Body: []byte{1}}); err == nil {
+		t.Error("dead endpoint must fail")
+	}
+	if _, err := tr.RoundTrip(context.Background(), &WireRequest{ContentType: "weird"}); err == nil {
+		t.Error("unknown content type must fail")
+	}
+}
+
+// TestTCPPoolReconnectsAfterListenerRestart: the endpoint goes away and
+// comes back on the same address; once the pool has seen its connection
+// die, the next call dials the new listener.
+func TestTCPPoolReconnectsAfterListenerRestart(t *testing.T) {
+	srv := NewServer(testService(), pbio.NewCodec(pbio.NewRegistry(pbio.NewMemServer())))
+	ln, err := ServeTCP(srv, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr()
+	pool := NewTCPPoolTransport(addr, 1)
+	defer pool.Close()
+	ping := func() error {
+		resp, err := pool.RoundTrip(context.Background(), &WireRequest{ContentType: ContentTypeXML})
+		if err == nil {
+			bufpool.Put(resp.Body)
+		}
+		return err
+	}
+	if err := ping(); err != nil {
+		t.Fatal(err)
+	}
+	ln.Close()
+	pool.mu.Lock()
+	m := pool.conns[0]
+	pool.mu.Unlock()
+	for deadline := time.Now().Add(5 * time.Second); !m.isDead(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("pool never noticed the closed connection")
+		}
+	}
+	if err := ping(); err == nil {
+		t.Fatal("call with the listener down succeeded")
+	}
+	ln, err = ServeTCP(srv, addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	if err := ping(); err != nil {
+		t.Fatalf("call after restart: %v", err)
+	}
+}
+
+// TestTCPPoolAtMostOnce: a connection-level error that arrives after the
+// request frame went out whole must not make the transport send the
+// request again — whether the operation ran is unknown, and a
+// non-idempotent one must not run twice. The raw listener completes the
+// handshake, reads one whole request, counts it and closes.
+func TestTCPPoolAtMostOnce(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	var requests atomic.Int64
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			var hello [len(muxHello)]byte
+			var hdr [muxHdr]byte
+			if _, err := io.ReadFull(conn, hello[:]); err == nil && hello == muxHello {
+				if body, err := frame.Read(conn, hdr[:], maxTCPFrame); err == nil {
+					bufpool.Put(body)
+					requests.Add(1)
+				}
+			}
+			conn.Close()
+		}
+	}()
+	pool := NewTCPPoolTransport(ln.Addr().String(), 1)
+	defer pool.Close()
+	_, err = pool.RoundTrip(context.Background(), &WireRequest{ContentType: ContentTypeXML, Action: "urn:debit", Body: []byte("<x/>")})
+	if err == nil {
+		t.Fatal("round trip against a peer that hangs up succeeded")
+	}
+	if n := requests.Load(); n != 1 {
+		t.Fatalf("peer received the request %d times, want 1", n)
 	}
 }
 
@@ -233,28 +353,6 @@ func TestTCPPoolClose(t *testing.T) {
 	}
 	if _, err := tr.RoundTrip(context.Background(), &WireRequest{ContentType: ContentTypeBinary, Body: []byte{1}}); !errors.Is(err, errMuxClosed) {
 		t.Fatalf("call on closed pool = %v", err)
-	}
-}
-
-// TestTCPPoolLegacyClientCoexists runs a legacy single-connection client
-// and a pooled client against the same listener: the protocol sniff must
-// route each connection to the right loop.
-func TestTCPPoolLegacyClientCoexists(t *testing.T) {
-	rig := newMuxRig(t, WireBinary, 2)
-	client, ln := rig.client, rig.ln
-	payload := workload.NestedStruct(3, 1)
-
-	legacyTr := NewTCPTransport(ln.Addr())
-	defer legacyTr.Close()
-	legacy := NewClient(testService(), legacyTr, client.codec, WireBinary)
-
-	for i := 0; i < 3; i++ {
-		if _, err := client.Call(context.Background(), "echo", nil, soap.Param{Name: "payload", Value: payload}); err != nil {
-			t.Fatalf("pooled call %d: %v", i, err)
-		}
-		if _, err := legacy.Call(context.Background(), "echo", nil, soap.Param{Name: "payload", Value: payload}); err != nil {
-			t.Fatalf("legacy call %d: %v", i, err)
-		}
 	}
 }
 

@@ -1,13 +1,14 @@
 package echo
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"net"
 	"sync"
 
+	"soapbinq/internal/bufpool"
+	"soapbinq/internal/frame"
 	"soapbinq/internal/idl"
 	"soapbinq/internal/pbio"
 )
@@ -18,7 +19,8 @@ import (
 // descriptor is sent once at subscription time — the same
 // register-once/cache pattern as the format server.
 //
-// Frames are u32 big-endian length + 1-byte op + payload:
+// Frames are internal/frame frames with a one-byte header — u32
+// big-endian length + 1-byte op + payload:
 //
 //	subscriber → bridge:  opSubscribe + channel name
 //	bridge → subscriber:  opAccept + type descriptor, then a stream of
@@ -229,6 +231,7 @@ func SubscribeRemote(addr, channel string, handler HandlerFunc) (cancel func(), 
 			}
 			// Events are encoded little-endian by the bridge's Go codec.
 			ev, err := codec.DecodeBody(payload, typ, false)
+			bufpool.Put(payload) // decoded values hold no reference into it
 			if err != nil {
 				return
 			}
@@ -246,28 +249,15 @@ func SubscribeRemote(addr, channel string, handler HandlerFunc) (cancel func(), 
 }
 
 func writeBridgeFrame(w io.Writer, op byte, payload []byte) error {
-	hdr := make([]byte, 5)
-	binary.BigEndian.PutUint32(hdr, uint32(len(payload)+1))
-	hdr[4] = op
-	if _, err := w.Write(hdr); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
+	hdr := [frame.LenSize + 1]byte{frame.LenSize: op}
+	return frame.Write(w, hdr[:], payload, maxEventFrame)
 }
 
+// readBridgeFrame reads one frame; the payload is a pooled buffer the
+// caller owns (bufpool rules: Put it once its contents are copied out,
+// or leave it to the collector).
 func readBridgeFrame(r io.Reader) (byte, []byte, error) {
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
-		return 0, nil, err
-	}
-	n := binary.BigEndian.Uint32(lenBuf[:])
-	if n == 0 || n > maxEventFrame {
-		return 0, nil, fmt.Errorf("echo: bad frame length %d", n)
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return 0, nil, err
-	}
-	return buf[0], buf[1:], nil
+	var hdr [frame.LenSize + 1]byte
+	payload, err := frame.Read(r, hdr[:], maxEventFrame)
+	return hdr[frame.LenSize], payload, err
 }

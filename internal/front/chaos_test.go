@@ -227,14 +227,16 @@ func TestFrontChaosBackendDeath(t *testing.T) {
 	waitBackend(t, f, victim.name, "down", 5*time.Second,
 		func(b front.BackendSnapshot) bool { return b.State == "down" })
 
-	// Degradation must be per backend: the victim carries fault
-	// pressure, the healthy fleet none.
+	// Degradation must be per backend: the victim's fault pressure rose,
+	// the healthy fleet's never did. The level the victim is left at when
+	// routing stops depends on how its last answers and its first
+	// failures interleaved (each success relaxes one step), so "rose" is
+	// also read off the pressure events in the decision ring below.
+	victimPressured := false
 	snap := f.DebugSnapshot()
 	for _, b := range snap.Backends {
 		if b.Name == victim.name {
-			if b.Estimator.Pressure == 0 {
-				t.Errorf("dead backend %s shows no fault pressure", b.Name)
-			}
+			victimPressured = b.Estimator.Pressure > 0
 		} else if b.Estimator.Pressure != 0 {
 			t.Errorf("healthy backend %s inherited fault pressure %d", b.Name, b.Estimator.Pressure)
 		}
@@ -255,10 +257,15 @@ func TestFrontChaosBackendDeath(t *testing.T) {
 		return b.State == "active" && b.Breaker == "closed" && b.Estimator.Pressure == 0
 	})
 
-	gen.stopAndCheck(t)
-	if victim.handled.Load() == revived {
-		t.Error("revived backend received no traffic after recovery")
+	// Traffic must come back to it; "full quality" can hold from the
+	// instant of revival, so wait for a call rather than stop the load
+	// in the same breath.
+	for end := time.Now().Add(10 * time.Second); victim.handled.Load() == revived; time.Sleep(time.Millisecond) {
+		if time.Now().After(end) {
+			t.Fatal("revived backend received no traffic after recovery")
+		}
 	}
+	gen.stopAndCheck(t)
 	for _, rig := range rigs {
 		if rig.handled.Load() == 0 {
 			t.Errorf("backend %s handled nothing", rig.name)
@@ -284,10 +291,15 @@ func TestFrontChaosBackendDeath(t *testing.T) {
 		case obs.EventRoute:
 			routeBackends[e.Backend] = true
 		case obs.EventPressure:
-			if strings.HasPrefix(e.Backend, "death-") && e.Backend != victim.name {
+			if e.Backend == victim.name {
+				victimPressured = victimPressured || e.Pressure > 0
+			} else if strings.HasPrefix(e.Backend, "death-") {
 				t.Errorf("pressure event for healthy backend %s: %+v", e.Backend, e)
 			}
 		}
+	}
+	if !victimPressured {
+		t.Errorf("dead backend %s never showed fault pressure", victim.name)
 	}
 	if !sawDown || !sawUp {
 		t.Errorf("decision ring missing state transitions for %s: down=%v up=%v", victim.name, sawDown, sawUp)

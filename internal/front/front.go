@@ -1,8 +1,7 @@
 // Package front is the fault-tolerant, quality-aware routing tier: a
-// proxy that accepts the existing SOAP/PBIO wire protocols on one
-// shared listener (it implements core.Processor, so core.ServeTCP
-// serves both the legacy framed and the multiplexed protocol through
-// it) and fans calls out to a pool of backend servers.
+// proxy that accepts SOAP-bin's framed TCP protocol on one listener (it
+// implements core.Processor, so core.ServeTCP serves it) and fans calls
+// out to a pool of backend servers.
 //
 // Envelopes are forwarded verbatim — the front never decodes
 // parameters, so its cost per call is a frame copy, a routing decision,

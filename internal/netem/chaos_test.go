@@ -41,7 +41,7 @@ func TestChaosComposedListener(t *testing.T) {
 	l := core.ServeTCPListener(srv, Chaos(ln, LAN100, plan))
 	defer l.Close()
 
-	tr := core.NewTCPTransport(l.Addr())
+	tr := core.NewTCPPoolTransport(l.Addr(), 1)
 	defer tr.Close()
 	client := core.NewClient(spec, tr, pbio.NewCodec(pbio.NewRegistry(fs)), core.WireBinary)
 	client.Policy = &core.CallPolicy{

@@ -2,7 +2,6 @@ package pbio
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -85,20 +84,11 @@ func NewHTTPFormatClient(url string) *HTTPFormatClient {
 }
 
 // Register implements Server.
-//
-//lint:ignore ctxfirst Server interface compatibility; RegisterContext is the bounded variant
 func (c *HTTPFormatClient) Register(f *Format) (*Format, error) {
-	//lint:ignore ctxfirst compat wrapper delegates with a root context by design
-	return c.RegisterContext(context.Background(), f)
-}
-
-// RegisterContext is Register bounded by ctx: cancellation or deadline
-// expiry aborts the HTTP round trip.
-func (c *HTTPFormatClient) RegisterContext(ctx context.Context, f *Format) (*Format, error) {
 	if f == nil || f.Type == nil {
 		return nil, fmt.Errorf("pbio: register nil format")
 	}
-	reply, err := c.post(ctx, AppendDescriptor([]byte{opRegister}, f.Type))
+	reply, err := c.post(AppendDescriptor([]byte{opRegister}, f.Type))
 	if err != nil {
 		return nil, err
 	}
@@ -119,18 +109,8 @@ func (c *HTTPFormatClient) RegisterContext(ctx context.Context, f *Format) (*For
 }
 
 // Lookup implements Server.
-//
-//lint:ignore ctxfirst Server interface compatibility; LookupContext is the bounded variant
 func (c *HTTPFormatClient) Lookup(id uint64) (*Format, error) {
-	//lint:ignore ctxfirst compat wrapper delegates with a root context by design
-	return c.LookupContext(context.Background(), id)
-}
-
-// LookupContext is Lookup bounded by ctx.
-func (c *HTTPFormatClient) LookupContext(ctx context.Context, id uint64) (*Format, error) {
-	req := append([]byte{opLookup}, make([]byte, 8)...)
-	putID(req[1:], id)
-	reply, err := c.post(ctx, req)
+	reply, err := c.post(appendID([]byte{opLookup}, id))
 	if err != nil {
 		return nil, err
 	}
@@ -148,12 +128,19 @@ func (c *HTTPFormatClient) LookupContext(ctx context.Context, id uint64) (*Forma
 	}
 }
 
-func (c *HTTPFormatClient) post(ctx context.Context, frame []byte) ([]byte, error) {
+// post performs one round trip, bounded by roundTripTimeout unless the
+// configured Client carries a timeout of its own.
+func (c *HTTPFormatClient) post(frame []byte) ([]byte, error) {
 	client := c.Client
 	if client == nil {
 		client = http.DefaultClient
 	}
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.URL, bytes.NewReader(frame))
+	if client.Timeout == 0 {
+		bounded := *client
+		bounded.Timeout = roundTripTimeout
+		client = &bounded
+	}
+	hreq, err := http.NewRequest(http.MethodPost, c.URL, bytes.NewReader(frame))
 	if err != nil {
 		return nil, fmt.Errorf("pbio: build format request: %w", err)
 	}

@@ -1,17 +1,18 @@
 package pbio
 
 import (
-	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"time"
+
+	"soapbinq/internal/bufpool"
+	"soapbinq/internal/frame"
 )
 
-// TCP format-server protocol. Frames in both directions are
+// TCP format-server protocol. Both directions carry internal/frame
+// frames whose payload starts with a one-byte header, the op:
 //
 //	u32 big-endian length | 1-byte op | payload
 //
@@ -26,6 +27,12 @@ const (
 	opError      = 'E'
 
 	maxFrame = 1 << 20 // descriptors are small; anything bigger is hostile
+
+	// roundTripTimeout bounds one format-server round trip, dial
+	// included. Registration and lookup happen once per type, on the
+	// first Marshal or Unmarshal that meets it; without a bound a
+	// blackholed format server would hang that call forever.
+	roundTripTimeout = 10 * time.Second
 )
 
 // TCPServer serves format registrations and lookups over TCP, backed by a
@@ -132,13 +139,14 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
+	var hdr [frame.LenSize + 1]byte
 	for {
-		op, payload, err := readFrame(conn)
+		payload, err := frame.Read(conn, hdr[:], maxFrame)
 		if err != nil {
 			return // EOF or broken peer: drop the connection
 		}
 		var reply []byte
-		switch op {
+		switch op := hdr[frame.LenSize]; op {
 		case opRegister:
 			reply = handleRegisterFrame(s.store, payload)
 		case opLookup:
@@ -146,7 +154,8 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 		default:
 			reply = errorFrame(fmt.Sprintf("unknown op %q", op))
 		}
-		if err := writeFrame(conn, reply); err != nil {
+		bufpool.Put(payload) // the handlers copy what they keep
+		if err := frame.Write(conn, hdr[:frame.LenSize], reply, maxFrame); err != nil {
 			return
 		}
 	}
@@ -156,42 +165,12 @@ func errorFrame(msg string) []byte {
 	return append([]byte{opError}, msg...)
 }
 
-func readFrame(r io.Reader) (byte, []byte, error) {
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
-		return 0, nil, err
-	}
-	n := binary.BigEndian.Uint32(lenBuf[:])
-	if n == 0 || n > maxFrame {
-		return 0, nil, fmt.Errorf("pbio: bad frame length %d", n)
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return 0, nil, err
-	}
-	return buf[0], buf[1:], nil
-}
-
-func writeFrame(w io.Writer, frame []byte) error {
-	var lenBuf [4]byte
-	binary.BigEndian.PutUint32(lenBuf[:], uint32(len(frame)))
-	if _, err := w.Write(lenBuf[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(frame)
-	return err
-}
-
 // TCPClient is a Server implementation that forwards registrations and
 // lookups to a remote TCPServer over a single persistent connection.
-// It is safe for concurrent use; requests are serialized on the wire.
+// It is safe for concurrent use; requests are serialized on the wire,
+// and each round trip is bounded by roundTripTimeout.
 type TCPClient struct {
 	addr string
-
-	// Timeout bounds each Register/Lookup round trip when the caller
-	// provides no context deadline of its own. Zero means unbounded,
-	// preserving the historical behavior.
-	Timeout time.Duration
 
 	mu   sync.Mutex
 	conn net.Conn
@@ -205,31 +184,21 @@ func NewTCPClient(addr string) *TCPClient {
 }
 
 // Register implements Server.
-//
-//lint:ignore ctxfirst Server interface compatibility; RegisterContext is the bounded variant
 func (c *TCPClient) Register(f *Format) (*Format, error) {
-	//lint:ignore ctxfirst compat wrapper delegates with a root context by design
-	return c.RegisterContext(context.Background(), f)
-}
-
-// RegisterContext is Register bounded by ctx: cancellation or deadline
-// expiry aborts the wire round trip.
-func (c *TCPClient) RegisterContext(ctx context.Context, f *Format) (*Format, error) {
 	if f == nil || f.Type == nil {
 		return nil, fmt.Errorf("pbio: register nil format")
 	}
-	req := AppendDescriptor([]byte{opRegister}, f.Type)
-	op, payload, err := c.roundTrip(ctx, req)
+	op, payload, err := c.roundTrip(AppendDescriptor([]byte{opRegister}, f.Type))
 	if err != nil {
 		return nil, err
 	}
+	defer bufpool.Put(payload)
 	switch op {
 	case opFormatID:
 		if len(payload) != 8 {
 			return nil, fmt.Errorf("pbio: malformed register reply")
 		}
-		id := binary.BigEndian.Uint64(payload)
-		if id != f.ID {
+		if id := readID(payload); id != f.ID {
 			return nil, fmt.Errorf("pbio: server assigned ID %#x, expected %#x", id, f.ID)
 		}
 		return f, nil
@@ -241,22 +210,12 @@ func (c *TCPClient) RegisterContext(ctx context.Context, f *Format) (*Format, er
 }
 
 // Lookup implements Server.
-//
-//lint:ignore ctxfirst Server interface compatibility; LookupContext is the bounded variant
 func (c *TCPClient) Lookup(id uint64) (*Format, error) {
-	//lint:ignore ctxfirst compat wrapper delegates with a root context by design
-	return c.LookupContext(context.Background(), id)
-}
-
-// LookupContext is Lookup bounded by ctx.
-func (c *TCPClient) LookupContext(ctx context.Context, id uint64) (*Format, error) {
-	req := make([]byte, 0, 9)
-	req = append(req, opLookup)
-	req = binary.BigEndian.AppendUint64(req, id)
-	op, payload, err := c.roundTrip(ctx, req)
+	op, payload, err := c.roundTrip(appendID([]byte{opLookup}, id))
 	if err != nil {
 		return nil, err
 	}
+	defer bufpool.Put(payload)
 	switch op {
 	case opDescriptor:
 		t, err := ParseDescriptor(payload)
@@ -275,71 +234,51 @@ func (c *TCPClient) LookupContext(ctx context.Context, id uint64) (*Format, erro
 func (c *TCPClient) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.conn != nil {
-		err := c.conn.Close()
-		c.conn = nil
-		return err
-	}
-	return nil
+	return c.dropConn()
 }
 
-func (c *TCPClient) roundTrip(ctx context.Context, frame []byte) (byte, []byte, error) {
-	if c.Timeout > 0 {
-		if _, has := ctx.Deadline(); !has {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, c.Timeout)
-			defer cancel()
-		}
+// dropConn closes and forgets the connection (holding c.mu).
+func (c *TCPClient) dropConn() error {
+	if c.conn == nil {
+		return nil
 	}
+	err := c.conn.Close()
+	c.conn = nil
+	return err
+}
+
+// roundTrip sends one request (op byte first) and returns the reply's op
+// and payload; the payload is a pooled buffer the caller owns. A stale
+// persistent connection gets one reconnect: registration and lookup are
+// idempotent, so sending twice is harmless.
+func (c *TCPClient) roundTrip(req []byte) (op byte, payload []byte, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if err := ctx.Err(); err != nil {
-		return 0, nil, err
-	}
-	op, payload, err := c.tryOnce(ctx, frame)
-	if err == nil {
-		return op, payload, nil
-	}
-	// Drop the (possibly mid-frame) connection; a done context is final.
-	if c.conn != nil {
-		c.conn.Close()
-		c.conn = nil
-	}
-	if ce := ctx.Err(); ce != nil {
-		return 0, nil, ce
-	}
-	// One reconnect attempt: the previous connection may have gone stale.
-	op, payload, err = c.tryOnce(ctx, frame)
-	if err != nil && c.conn != nil {
-		c.conn.Close()
-		c.conn = nil
-	}
-	if err != nil {
-		if ce := ctx.Err(); ce != nil {
-			return 0, nil, ce
+	deadline := time.Now().Add(roundTripTimeout)
+	for attempt := 0; attempt < 2; attempt++ {
+		if op, payload, err = c.tryOnce(req, deadline); err == nil {
+			return op, payload, nil
 		}
+		c.dropConn() // possibly mid-frame
 	}
-	return op, payload, err
+	return 0, nil, err
 }
 
-func (c *TCPClient) tryOnce(ctx context.Context, frame []byte) (byte, []byte, error) {
+func (c *TCPClient) tryOnce(req []byte, deadline time.Time) (byte, []byte, error) {
 	if c.conn == nil {
-		var d net.Dialer
-		conn, err := d.DialContext(ctx, "tcp", c.addr)
+		conn, err := net.DialTimeout("tcp", c.addr, time.Until(deadline))
 		if err != nil {
 			return 0, nil, fmt.Errorf("pbio: dial format server: %w", err)
 		}
 		c.conn = conn
 	}
-	if deadline, ok := ctx.Deadline(); ok {
-		c.conn.SetDeadline(deadline)
-	} else {
-		c.conn.SetDeadline(time.Time{})
-	}
-	if err := writeFrame(c.conn, frame); err != nil {
+	c.conn.SetDeadline(deadline)
+	var hdr [frame.LenSize + 1]byte
+	if err := frame.Write(c.conn, hdr[:frame.LenSize], req, maxFrame); err != nil {
 		return 0, nil, err
 	}
-	return readFrame(c.conn)
+	payload, err := frame.Read(c.conn, hdr[:], maxFrame)
+	return hdr[frame.LenSize], payload, err
 }
 
 var _ Server = (*TCPClient)(nil)

@@ -5,7 +5,10 @@ import (
 	"errors"
 	"net"
 	"testing"
+	"time"
 
+	"soapbinq/internal/bufpool"
+	"soapbinq/internal/frame"
 	"soapbinq/internal/workload"
 )
 
@@ -115,43 +118,64 @@ func TestTCPServerRejectsMalformedFrames(t *testing.T) {
 	}
 	defer conn.Close()
 
-	// Unknown op yields an error frame, not a dropped connection.
-	if err := writeFrame(conn, []byte{'Z'}); err != nil {
+	var hdr [frame.LenSize + 1]byte
+	exchange := func(req []byte) (byte, error) {
+		if err := frame.Write(conn, hdr[:frame.LenSize], req, maxFrame); err != nil {
+			t.Fatal(err)
+		}
+		payload, err := frame.Read(conn, hdr[:], maxFrame)
+		bufpool.Put(payload)
+		return hdr[frame.LenSize], err
+	}
+	for name, req := range map[string][]byte{
+		"unknown op":              {'Z'},
+		"short lookup payload":    {opLookup, 1, 2},
+		"bad register descriptor": {opRegister, 99},
+	} {
+		// An error frame, not a dropped connection.
+		if op, err := exchange(req); err != nil || op != opError {
+			t.Errorf("%s: op=%q err=%v, want an error frame", name, op, err)
+		}
+	}
+
+	// A zero-length frame has no op byte: the connection is dropped as
+	// soon as the byte after the prefix shows the frame for what it is.
+	if _, err := conn.Write(make([]byte, frame.LenSize+1)); err != nil {
 		t.Fatal(err)
 	}
-	op, payload, err := readFrame(conn)
+	if _, err := frame.Read(conn, hdr[:], maxFrame); err == nil {
+		t.Error("expected connection drop after zero-length frame")
+	}
+}
+
+// TestTCPClientBoundsBlackholedServer: a format server that accepts the
+// connection and never answers must fail the round trip at its deadline
+// rather than hang the caller's first Marshal forever.
+func TestTCPClientBoundsBlackholedServer(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if op != opError {
-		t.Errorf("op = %q, want error frame (%s)", op, payload)
+	defer ln.Close()
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			defer conn.Close() // held open, never read, until the test ends
+		}
+	}()
+	client := NewTCPClient(ln.Addr().String())
+	defer client.Close()
+	start := time.Now()
+	_, _, err = client.tryOnce([]byte{opLookup, 0, 0, 0, 0, 0, 0, 0, 1}, start.Add(50*time.Millisecond))
+	var nerr net.Error
+	if !errors.As(err, &nerr) || !nerr.Timeout() {
+		t.Fatalf("blackholed round trip error = %v, want a timeout", err)
 	}
-
-	// Bad lookup payload length.
-	if err := writeFrame(conn, []byte{opLookup, 1, 2}); err != nil {
-		t.Fatal(err)
-	}
-	op, _, err = readFrame(conn)
-	if err != nil || op != opError {
-		t.Errorf("short lookup: op=%q err=%v", op, err)
-	}
-
-	// Bad register descriptor.
-	if err := writeFrame(conn, []byte{opRegister, 99}); err != nil {
-		t.Fatal(err)
-	}
-	op, _, err = readFrame(conn)
-	if err != nil || op != opError {
-		t.Errorf("bad descriptor: op=%q err=%v", op, err)
-	}
-
-	// Zero-length frame drops the connection.
-	var lenBuf [4]byte
-	if _, err := conn.Write(lenBuf[:]); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := readFrame(conn); err == nil {
-		t.Error("expected connection drop after zero-length frame")
+	if elapsed := time.Since(start); elapsed > 2*time.Second {
+		t.Fatalf("blackholed round trip took %v", elapsed)
 	}
 }
 

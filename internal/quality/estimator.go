@@ -276,80 +276,3 @@ func (e *Estimator) Set(rtt time.Duration) {
 	e.current = rtt
 	e.primed = true
 }
-
-// JacobsonEstimator is the "more complex and effective estimator" the
-// paper's §IV-C names as future work: Jacobson/Karels congestion-avoidance
-// estimation (SIGCOMM '88), tracking both a smoothed RTT and its mean
-// deviation. Bound() — SRTT + 4·RTTVAR — gives a variance-aware threshold
-// that reacts to jittery links faster than the plain exponential average.
-type JacobsonEstimator struct {
-	mu      sync.Mutex
-	srtt    time.Duration
-	rttvar  time.Duration
-	primed  bool
-	samples int
-}
-
-// Jacobson/Karels gains: g = 1/8 for the mean, h = 1/4 for the deviation.
-const (
-	jacobsonG = 0.125
-	jacobsonH = 0.25
-)
-
-// NewJacobsonEstimator returns an unprimed estimator.
-func NewJacobsonEstimator() *JacobsonEstimator {
-	return &JacobsonEstimator{}
-}
-
-// Observe folds in a sample and returns the updated smoothed RTT.
-func (e *JacobsonEstimator) Observe(sample time.Duration) time.Duration {
-	if sample < 0 {
-		sample = 0
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if !e.primed {
-		e.srtt = sample
-		e.rttvar = sample / 2
-		e.primed = true
-	} else {
-		err := sample - e.srtt
-		if err < 0 {
-			e.rttvar += time.Duration(jacobsonH * float64(-err-e.rttvar))
-		} else {
-			e.rttvar += time.Duration(jacobsonH * float64(err-e.rttvar))
-		}
-		e.srtt += time.Duration(jacobsonG * float64(err))
-	}
-	e.samples++
-	return e.srtt
-}
-
-// Estimate returns the smoothed RTT.
-func (e *JacobsonEstimator) Estimate() time.Duration {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.srtt
-}
-
-// Var returns the smoothed mean deviation.
-func (e *JacobsonEstimator) Var() time.Duration {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.rttvar
-}
-
-// Bound returns SRTT + 4·RTTVAR, the classic retransmission-timeout
-// formula, usable as a variance-aware quality threshold input.
-func (e *JacobsonEstimator) Bound() time.Duration {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.srtt + 4*e.rttvar
-}
-
-// Samples reports the number of observations.
-func (e *JacobsonEstimator) Samples() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.samples
-}

@@ -115,9 +115,6 @@ func (q *Client) RTT() time.Duration { return q.Estimator.Estimate() }
 // duration measures the budget, not the network), so a stalled peer
 // cannot skew the adaptation loop.
 func (q *Client) Call(ctx context.Context, op string, hdr soap.Header, params ...soap.Param) (*core.Response, error) {
-	if ctx == nil {
-		ctx = context.Background() //lint:ignore ctxfirst nil-ctx compatibility fallback for legacy callers
-	}
 	if hdr == nil {
 		hdr = soap.Header{}
 	}
@@ -169,12 +166,6 @@ func (q *Client) Call(ctx context.Context, op string, hdr soap.Header, params ..
 		}
 	}
 	return resp, nil
-}
-
-// CallBackground is the no-context compatibility wrapper over Call.
-func (q *Client) CallBackground(op string, hdr soap.Header, params ...soap.Param) (*core.Response, error) {
-	//lint:ignore ctxfirst documented no-context compatibility wrapper
-	return q.Call(context.Background(), op, hdr, params...)
 }
 
 // observe derives this call's RTT sample. Preference order: the

@@ -159,14 +159,15 @@ type HTTPTransport = core.HTTPTransport
 // Loopback is the in-process transport (benchmarks, tests).
 type Loopback = core.Loopback
 
-// TCPTransport carries envelopes over a persistent raw TCP connection —
-// the low-overhead choice for the high-performance mode's internal
-// back-end communications (ServeTCP is the server side).
-type TCPTransport = core.TCPTransport
+// TCPPoolTransport carries envelopes over a pool of persistent,
+// multiplexed raw TCP connections — the low-overhead choice for the
+// high-performance mode's internal back-end communications (ServeTCP is
+// the server side).
+type TCPPoolTransport = core.TCPPoolTransport
 
 var (
-	NewTCPTransport = core.NewTCPTransport
-	ServeTCP        = core.ServeTCP
+	NewTCPPoolTransport = core.NewTCPPoolTransport
+	ServeTCP            = core.ServeTCP
 )
 
 // ---- SOAP-binQ quality management ----
@@ -182,12 +183,11 @@ type (
 
 // QualityManager owns runtime-redefinable quality state; Repository is
 // the runtime handler store; RequestRule configures client-side request
-// adaptation; JacobsonEstimator adds RTT variance tracking.
+// adaptation.
 type (
 	QualityManager    = quality.Manager
 	QualityRepository = quality.Repository
 	RequestRule       = quality.RequestRule
-	JacobsonEstimator = quality.JacobsonEstimator
 )
 
 var (
@@ -200,7 +200,6 @@ var (
 	XMLQualityHandler    = quality.XMLHandler
 	PadRequests          = quality.PadRequests
 	NewRTTEstimator      = quality.NewEstimator
-	NewJacobsonEstimator = quality.NewJacobsonEstimator
 	NewSelector          = quality.NewSelector
 	Downgrade            = quality.Downgrade
 	Upgrade              = quality.Upgrade
