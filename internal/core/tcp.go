@@ -39,9 +39,11 @@ import (
 // Cancellation abandons, never corrupts: a caller whose context ends
 // deregisters its correlation ID and returns immediately; the response,
 // whenever it arrives, is read whole (keeping the stream framed) and
-// dropped. A connection is torn down only on real I/O errors — a write
-// that fails partway has corrupted the stream, so the connection is
-// failed and every call pending on it is woken with the error.
+// dropped. An I/O error tears a connection down — a write that fails
+// partway has corrupted the stream — and every call pending on it is
+// woken with the error. An expired deadline, which cannot tell a slow
+// peer from a silent connection, retires it instead: no new calls, and
+// the last pending call to leave closes it (see muxConn.retired).
 //
 // Buffers: frame.Read hands each frame body to exactly one owner. The
 // server's owner is the request goroutine, which releases the body once
@@ -275,7 +277,7 @@ func ProbeTCP(ctx context.Context, addr string) error {
 	if err != nil {
 		return fmt.Errorf("core: probe: %w", err)
 	}
-	defer m.fail(errMuxClosed)
+	defer m.fail(errMuxClosed) // an orderly close, not a connection failure
 	r, _, err := m.call(ctx, tcpWireXML, "", nil)
 	if err != nil {
 		if ce := ctxTimeout(ctx, err); ce != nil {

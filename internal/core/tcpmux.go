@@ -19,8 +19,15 @@ import (
 // format): muxConn is one multiplexed connection, TCPPoolTransport a
 // pool of them.
 
-// errMuxClosed reports a call on a closed pool.
-var errMuxClosed = errors.New("core: tcp pool closed")
+var (
+	// errMuxClosed reports a call on a closed pool. It is also what an
+	// orderly teardown fails a connection with, so it does not count as
+	// a connection failure.
+	errMuxClosed = errors.New("core: tcp pool closed")
+	// errMuxRetired is the fate of a connection on which a call's
+	// deadline expired (see muxConn.retired).
+	errMuxRetired = errors.New("core: tcp connection retired after a call deadline")
+)
 
 // muxReply carries one response (or the connection's fatal error) to the
 // caller that registered its correlation ID.
@@ -41,7 +48,14 @@ type muxConn struct {
 	mu      sync.Mutex
 	pending map[uint64]chan muxReply
 	nextID  uint64
-	dead    error // non-nil once the connection is unusable
+	dead    error // non-nil once the connection has failed
+	// retired is set when a call's deadline expires on the connection.
+	// The caller cannot tell a slow peer from a connection that went
+	// silent (a blackhole accepts writes forever), so the connection
+	// takes no new calls and is closed when the calls already pending
+	// on it have left: nobody else's call is hurt, and a silent
+	// connection costs one call budget, not every later call's.
+	retired bool
 
 	inflight atomic.Int64 // registered, unanswered calls (checkout load metric)
 }
@@ -82,14 +96,17 @@ func (m *muxConn) readLoop() {
 		id, code := binary.BigEndian.Uint64(hdr[frame.LenSize:]), hdr[muxHdr-1]
 		m.mu.Lock()
 		ch, ok := m.pending[id]
-		if ok {
-			delete(m.pending, id)
-		}
+		delete(m.pending, id)
+		drained := m.retired && len(m.pending) == 0
 		m.mu.Unlock()
 		if ok {
 			ch <- muxReply{code: code, body: body} // buffered; never blocks
 		} else {
 			bufpool.Put(body) // abandoned call: drop the late response
+		}
+		if drained {
+			m.fail(errMuxRetired)
+			return
 		}
 	}
 }
@@ -100,7 +117,9 @@ func (m *muxConn) fail(err error) {
 	if m.dead == nil {
 		m.dead = err
 		muxConns.Add(-1)
-		muxConnFailures.Inc()
+		if !errors.Is(err, errMuxClosed) {
+			muxConnFailures.Inc()
+		}
 	}
 	waiters := m.pending
 	m.pending = make(map[uint64]chan muxReply)
@@ -111,24 +130,29 @@ func (m *muxConn) fail(err error) {
 	}
 }
 
-// isDead reports whether the connection has been failed.
-func (m *muxConn) isDead() bool {
+// unusable reports whether the connection takes no new calls: it has
+// been failed or retired.
+func (m *muxConn) unusable() bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.dead != nil
+	return m.dead != nil || m.retired
 }
 
-// call performs one correlated exchange. On context expiry the call is
-// abandoned: the ID is deregistered, the caller returns ctx.Err(), and
-// the connection stays healthy for its other users. sent reports whether
-// the request frame went out whole: an error with sent false means the
-// peer provably never saw the request (the connection was already dead,
-// or the write itself failed), so it may be sent again elsewhere without
-// risking a second execution.
+// call performs one correlated exchange. When the context ends the call
+// is abandoned: the ID is deregistered, the caller returns ctx.Err(),
+// and the calls of the connection's other users go on; an expired
+// deadline also retires the connection. sent reports whether the
+// request frame went out whole: an error with sent false means the peer
+// provably never saw the request (the connection was already dead or
+// retired, or the write itself failed), so it may be sent again
+// elsewhere without risking a second execution.
 func (m *muxConn) call(ctx context.Context, code byte, action string, body []byte) (r muxReply, sent bool, err error) {
 	ch := make(chan muxReply, 1)
 	m.mu.Lock()
-	if err = m.dead; err != nil {
+	if err = m.dead; err == nil && m.retired {
+		err = errMuxRetired
+	}
+	if err != nil {
 		m.mu.Unlock()
 		return muxReply{}, false, err
 	}
@@ -147,26 +171,28 @@ func (m *muxConn) call(ctx context.Context, code byte, action string, body []byt
 		// A partial frame corrupts the outbound stream for everyone:
 		// fail the whole connection, not just this call.
 		m.fail(err)
-		m.forget(id)
+		m.forget(id, ch, false)
 		return muxReply{}, false, err
 	}
 	select {
 	case r = <-ch:
 		return r, true, r.err
 	case <-ctx.Done():
-		m.forget(id)
+		m.forget(id, ch, errors.Is(ctx.Err(), context.DeadlineExceeded))
 		return muxReply{}, true, ctx.Err()
 	}
 }
 
-// forget deregisters an ID whose caller gave up; a reply that already
-// raced into the channel is released.
-func (m *muxConn) forget(id uint64) {
+// forget deregisters an ID whose caller gave up on ch; a reply that
+// already raced into the channel is released. retire marks the
+// connection retired, and whoever takes the last pending call off a
+// retired connection closes it.
+func (m *muxConn) forget(id uint64, ch chan muxReply, retire bool) {
 	m.mu.Lock()
-	ch, ok := m.pending[id]
-	if ok {
-		delete(m.pending, id)
-	}
+	_, ok := m.pending[id]
+	delete(m.pending, id)
+	m.retired = m.retired || retire
+	drained := m.retired && len(m.pending) == 0
 	m.mu.Unlock()
 	if !ok {
 		// The reader already delivered; drain so the buffer is released.
@@ -175,6 +201,9 @@ func (m *muxConn) forget(id uint64) {
 			bufpool.Put(r.body)
 		default:
 		}
+	}
+	if drained {
+		m.fail(errMuxRetired)
 	}
 }
 
@@ -204,11 +233,11 @@ func (m *muxConn) writeRequest(ctx context.Context, id uint64, code byte, action
 
 // TCPPoolTransport is a Transport over a pool of multiplexed TCP
 // connections: up to Conns connections per endpoint, each carrying many
-// concurrent correlated calls. Checkout is health-aware — dead
-// connections are skipped and redialed on demand, live ones are picked
-// by lowest in-flight load — and composes with the client-level circuit
-// breaker, which sees dial failures and timeouts exactly as it does on
-// any other transport.
+// concurrent correlated calls. Checkout is health-aware — dead and
+// retired connections are skipped and redialed on demand, live ones are
+// picked by lowest in-flight load — and composes with the client-level
+// circuit breaker, which sees dial failures and timeouts exactly as it
+// does on any other transport.
 //
 // Safe for concurrent use.
 type TCPPoolTransport struct {
@@ -238,7 +267,9 @@ func NewTCPPoolTransport(addr string, conns int) *TCPPoolTransport {
 	return &TCPPoolTransport{addr: addr, size: conns, conns: make([]*muxConn, conns)}
 }
 
-// Close fails every connection; pending calls are woken with an error.
+// Close fails every pooled connection; calls pending on them are woken
+// with an error. (A retired connection has left the pool: its calls end
+// with their own replies or contexts.)
 func (t *TCPPoolTransport) Close() error {
 	t.mu.Lock()
 	t.closed = true
@@ -311,7 +342,7 @@ func (t *TCPPoolTransport) checkout(ctx context.Context) (*muxConn, error) {
 	var best *muxConn
 	empty := -1
 	for i, m := range t.conns {
-		if m == nil || m.isDead() {
+		if m == nil || m.unusable() {
 			if empty < 0 {
 				empty = i
 			}
@@ -348,7 +379,7 @@ func (t *TCPPoolTransport) checkout(ctx context.Context) (*muxConn, error) {
 		}
 		return nil, errMuxClosed
 	}
-	if old := t.conns[empty]; old == nil || old.isDead() {
+	if old := t.conns[empty]; old == nil || old.unusable() {
 		t.conns[empty] = m
 		t.mu.Unlock()
 		return m, nil
@@ -366,11 +397,11 @@ func (t *TCPPoolTransport) checkout(ctx context.Context) (*muxConn, error) {
 // RoundTrip implements Transport. The transport itself sends a request
 // again, once and on a fresh connection, only when the first attempt
 // provably never reached the peer — the checked-out connection was
-// already dead, or the frame write failed. An error after the frame
-// went out is returned as it is: whether the operation ran is unknown,
-// and sending again is the caller's decision (CallPolicy and front apply
-// the idempotency rule). A done context is final and surfaces the
-// context's own error.
+// already dead or retired, or the frame write failed. An error after
+// the frame went out is returned as it is: whether the operation ran is
+// unknown, and sending again is the caller's decision (CallPolicy and
+// front apply the idempotency rule). A done context is final and
+// surfaces the context's own error.
 func (t *TCPPoolTransport) RoundTrip(ctx context.Context, req *WireRequest) (*WireResponse, error) {
 	code, err := wireToCode(req.ContentType)
 	if err != nil {

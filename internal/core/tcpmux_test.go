@@ -28,6 +28,13 @@ type muxRig struct {
 	arm    func(bool)
 }
 
+// serverConns counts the connections the listener currently serves.
+func (r *muxRig) serverConns() int {
+	r.ln.mu.Lock()
+	defer r.ln.mu.Unlock()
+	return len(r.ln.conns)
+}
+
 // newMuxRig serves testService over TCP and returns a client on a pooled
 // multiplexed transport of the given width.
 func newMuxRig(t *testing.T, wire WireFormat, conns int) *muxRig {
@@ -142,15 +149,13 @@ func TestTCPPoolCancellationAbandons(t *testing.T) {
 	}
 
 	rig.arm(true)
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
+	ctx, cancel := context.WithCancel(context.Background())
+	timer := time.AfterFunc(50*time.Millisecond, cancel)
+	defer timer.Stop()
 	start := time.Now()
 	_, err := client.Call(ctx, "echo", nil, soap.Param{Name: "payload", Value: payload})
-	if err == nil {
-		t.Fatal("cancelled call succeeded")
-	}
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("cancelled call error = %v, want deadline", err)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled call error = %v, want context.Canceled", err)
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Fatalf("cancellation took %v", elapsed)
@@ -158,8 +163,8 @@ func TestTCPPoolCancellationAbandons(t *testing.T) {
 	rig.arm(false)
 	close(gate) // release the stuck handler; its response must be dropped
 
-	// The same connection must still work: pool size is 1, so a corrupted
-	// stream would fail (or misroute) this call.
+	// The same connection must still work: a corrupted stream would fail
+	// (or misroute) these calls.
 	for i := 0; i < 5; i++ {
 		resp, err := client.Call(context.Background(), "echo", nil, soap.Param{Name: "payload", Value: payload})
 		if err != nil {
@@ -167,6 +172,103 @@ func TestTCPPoolCancellationAbandons(t *testing.T) {
 		}
 		if !resp.Value.Equal(payload) {
 			t.Fatalf("call %d after abandon: response misrouted", i)
+		}
+	}
+	if n := rig.serverConns(); n != 1 {
+		t.Fatalf("a cancelled call cost the connection: server holds %d, want the original 1", n)
+	}
+}
+
+// gatedProcessor echoes every envelope, holding those whose body is
+// "slow" until gate closes.
+type gatedProcessor struct{ gate chan struct{} }
+
+func (p gatedProcessor) Process(_ context.Context, ct, _ string, body []byte) (string, []byte) {
+	if string(body) == "slow" {
+		<-p.gate
+	}
+	return ct, append([]byte(nil), body...)
+}
+
+// TestTCPPoolDeadlineRetiresConnection: an expired deadline cannot tell
+// a slow peer from a silent connection, so it retires the connection —
+// new calls go to a fresh one — without hurting the call that was
+// pending beside it, and the retired connection closes once that call
+// has its reply.
+func TestTCPPoolDeadlineRetiresConnection(t *testing.T) {
+	gate := make(chan struct{})
+	ln, err := ServeTCP(gatedProcessor{gate}, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	pool := NewTCPPoolTransport(ln.Addr(), 1)
+	defer pool.Close()
+	call := func(ctx context.Context, body string) error {
+		resp, err := pool.RoundTrip(ctx, &WireRequest{ContentType: ContentTypeXML, Body: []byte(body)})
+		if err != nil {
+			return err
+		}
+		if string(resp.Body) != body {
+			t.Errorf("reply %q to request %q", resp.Body, body)
+		}
+		bufpool.Put(resp.Body)
+		return nil
+	}
+	serverConns := func() int {
+		ln.mu.Lock()
+		defer ln.mu.Unlock()
+		return len(ln.conns)
+	}
+	if err := call(context.Background(), "warm"); err != nil {
+		t.Fatal(err)
+	}
+	pool.mu.Lock()
+	first := pool.conns[0]
+	pool.mu.Unlock()
+
+	// Two calls wait on the one connection: a patient one, and one whose
+	// deadline expires.
+	patient := make(chan error, 1)
+	go func() { patient <- call(context.Background(), "slow") }()
+	for deadline := time.Now().Add(5 * time.Second); first.inflight.Load() != 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("patient call never registered")
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	if err := call(ctx, "slow"); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("expired call error = %v, want DeadlineExceeded", err)
+	}
+	if !first.unusable() {
+		t.Fatal("connection still takes calls after a deadline expired on it")
+	}
+	select {
+	case err := <-patient:
+		t.Fatalf("retiring the connection ended the call pending beside the expired one: %v", err)
+	default:
+	}
+
+	// The next call rides a new connection while the retired one waits
+	// for the patient call.
+	if err := call(context.Background(), "next"); err != nil {
+		t.Fatalf("call after the expired one: %v", err)
+	}
+	pool.mu.Lock()
+	second := pool.conns[0]
+	pool.mu.Unlock()
+	if second == first {
+		t.Fatal("the retired connection served a new call")
+	}
+
+	close(gate)
+	if err := <-patient; err != nil {
+		t.Fatalf("patient call on the retired connection: %v", err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); serverConns() != 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("retired connection not closed after its last call left: server holds %d connections", serverConns())
 		}
 	}
 }
@@ -212,10 +314,7 @@ func TestTCPPoolSequentialCallsShareConnection(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	rig.ln.mu.Lock()
-	conns := len(rig.ln.conns)
-	rig.ln.mu.Unlock()
-	if conns != 1 {
+	if conns := rig.serverConns(); conns != 1 {
 		t.Fatalf("25 sequential calls used %d connections, want 1", conns)
 	}
 }
@@ -257,7 +356,7 @@ func TestTCPPoolReconnectsAfterListenerRestart(t *testing.T) {
 	pool.mu.Lock()
 	m := pool.conns[0]
 	pool.mu.Unlock()
-	for deadline := time.Now().Add(5 * time.Second); !m.isDead(); time.Sleep(time.Millisecond) {
+	for deadline := time.Now().Add(5 * time.Second); !m.unusable(); time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatal("pool never noticed the closed connection")
 		}
@@ -376,7 +475,7 @@ func TestTCPPoolDrainVsCheckout(t *testing.T) {
 		defer rig.pool.mu.Unlock()
 		var n int64
 		for _, m := range rig.pool.conns {
-			if m != nil && !m.isDead() {
+			if m != nil && !m.unusable() {
 				n += m.inflight.Load()
 			}
 		}

@@ -14,9 +14,7 @@ import (
 //  2. An exported function that (transitively, within its package)
 //     performs network I/O — dialing, HTTP client calls, reads or writes
 //     on a net.Conn — must take a context.Context, so callers can bound
-//     it. A method that implements an interface declared in the same
-//     package is exempt: the interface fixes its signature, and the
-//     implementation bounds its own I/O.
+//     it. Compatibility wrappers are annotated with //lint:ignore.
 //  3. Library code does not mint its own root contexts with
 //     context.Background or context.TODO; the caller's context is the
 //     only source of cancellation. (main packages and tests are exempt:
@@ -133,7 +131,7 @@ func runCtxFirst(pass *Pass) {
 		if !io[fn] || !fn.Exported() {
 			continue
 		}
-		if hasCtxParam(fn) || fixedByInterface(pass.Pkg, fn) {
+		if hasCtxParam(fn) {
 			continue
 		}
 		pass.Report(f.decl.Name.Pos(), "exported %s performs network I/O but takes no context.Context", fn.Name())
@@ -154,32 +152,6 @@ func checkCtxPosition(pass *Pass, fd *ast.FuncDecl, fn *types.Func) {
 func hasCtxParam(fn *types.Func) bool {
 	params := fn.Type().(*types.Signature).Params()
 	return params.Len() > 0 && isContextType(params.At(0).Type())
-}
-
-// fixedByInterface reports whether fn is a method that an interface
-// declared in pkg requires of fn's receiver type.
-func fixedByInterface(pkg *types.Package, fn *types.Func) bool {
-	recv := fn.Type().(*types.Signature).Recv()
-	if recv == nil {
-		return false
-	}
-	scope := pkg.Scope()
-	for _, name := range scope.Names() {
-		tn, ok := scope.Lookup(name).(*types.TypeName)
-		if !ok {
-			continue
-		}
-		iface, ok := tn.Type().Underlying().(*types.Interface)
-		if !ok || !types.Implements(recv.Type(), iface) {
-			continue
-		}
-		for i := 0; i < iface.NumMethods(); i++ {
-			if iface.Method(i).Name() == fn.Name() {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // isBlockingNetCall reports calls that open connections or run HTTP

@@ -44,28 +44,6 @@ func Send(conn net.Conn, b []byte) error { // want "performs network I/O but tak
 	return err
 }
 
-// Store is an in-package interface without contexts; it fixes the
-// signature of every implementation's Put.
-type Store interface {
-	Put(b []byte) error
-}
-
-// RemoteStore implements Store over a connection.
-type RemoteStore struct{ conn net.Conn }
-
-// Put cannot take a context — Store fixes its signature — so it is
-// exempt from the exported-I/O rule.
-func (s *RemoteStore) Put(b []byte) error {
-	_, err := s.conn.Write(b)
-	return err
-}
-
-// Flush is not part of Store, so the rule applies.
-func (s *RemoteStore) Flush() error { // want "performs network I/O but takes no context.Context"
-	_, err := s.conn.Write(nil)
-	return err
-}
-
 // Fetch threads its context first and is exempt from every rule.
 func Fetch(ctx context.Context, addr string) error {
 	var d net.Dialer

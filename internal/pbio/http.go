@@ -84,6 +84,8 @@ func NewHTTPFormatClient(url string) *HTTPFormatClient {
 }
 
 // Register implements Server.
+//
+//lint:ignore ctxfirst the Server interface fixes the signature; roundTripTimeout bounds the exchange
 func (c *HTTPFormatClient) Register(f *Format) (*Format, error) {
 	if f == nil || f.Type == nil {
 		return nil, fmt.Errorf("pbio: register nil format")
@@ -109,6 +111,8 @@ func (c *HTTPFormatClient) Register(f *Format) (*Format, error) {
 }
 
 // Lookup implements Server.
+//
+//lint:ignore ctxfirst the Server interface fixes the signature; roundTripTimeout bounds the exchange
 func (c *HTTPFormatClient) Lookup(id uint64) (*Format, error) {
 	reply, err := c.post(appendID([]byte{opLookup}, id))
 	if err != nil {

@@ -184,6 +184,8 @@ func NewTCPClient(addr string) *TCPClient {
 }
 
 // Register implements Server.
+//
+//lint:ignore ctxfirst the Server interface fixes the signature; roundTripTimeout bounds the exchange
 func (c *TCPClient) Register(f *Format) (*Format, error) {
 	if f == nil || f.Type == nil {
 		return nil, fmt.Errorf("pbio: register nil format")
@@ -210,6 +212,8 @@ func (c *TCPClient) Register(f *Format) (*Format, error) {
 }
 
 // Lookup implements Server.
+//
+//lint:ignore ctxfirst the Server interface fixes the signature; roundTripTimeout bounds the exchange
 func (c *TCPClient) Lookup(id uint64) (*Format, error) {
 	op, payload, err := c.roundTrip(appendID([]byte{opLookup}, id))
 	if err != nil {
