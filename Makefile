@@ -1,5 +1,9 @@
 GO ?= go
 FUZZTIME ?= 10s
+# The hot-path report this tree records and compares against: one
+# BENCH_pr$(PR).json per PR that moves the numbers, older ones kept as the
+# series (BENCH_pr4.json is its first point).
+PR ?= 13
 
 .PHONY: check build vet test race chaos chaos-front bench bench-paper bench-compare lint fuzz-smoke obs-smoke benchmark-module
 
@@ -68,16 +72,17 @@ fuzz-smoke:
 
 # Measure the zero-allocation wire hot path (codec plans, pooled
 # buffers and value slabs, multiplexed TCP pool) with -benchmem
-# semantics and record BENCH_pr4.json: ns/op, B/op, allocs/op for the
-# codec and the pooled echo round trip, plus throughput and p50/p99 RTT
-# at 1/8/64 concurrent callers over real TCP (pool of 1 vs pool of 8).
+# semantics and record BENCH_pr$(PR).json: ns/op, B/op, allocs/op for the
+# codec and the pooled echo round trip at 1,024 and 65,536 ints, plus
+# throughput and p50/p99 RTT at 1/8/64 concurrent callers over real TCP
+# (pool of 1 vs pool of 8).
 bench:
-	$(GO) run ./cmd/soapbench -hotpath -benchout BENCH_pr4.json
+	$(GO) run ./cmd/soapbench -hotpath -benchout BENCH_pr$(PR).json
 
-# Re-measure and check against the recorded BENCH_pr4.json; fails on
+# Re-measure and check against the recorded BENCH_pr$(PR).json; fails on
 # allocation regressions (timing columns are advisory).
 bench-compare:
-	$(GO) run ./cmd/soapbench -hotpath -quick -compare -benchout BENCH_pr4.json
+	$(GO) run ./cmd/soapbench -hotpath -quick -compare -benchout BENCH_pr$(PR).json
 
 # Regenerate every table/figure of the paper's evaluation (quick pass).
 bench-paper:

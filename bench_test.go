@@ -54,7 +54,11 @@ func newBenchCodec() (*pbio.Codec, *pbio.Codec) {
 func BenchmarkPBIOMarshalArray64K(b *testing.B) {
 	enc, _ := newBenchCodec()
 	v := workload.IntArray(8192) // 64 KB payload
-	b.SetBytes(int64(pbio.EncodedSize(v)))
+	size, err := enc.EncodedSize(v)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(size))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := enc.Marshal(v); err != nil {
@@ -82,7 +86,11 @@ func BenchmarkPBIOUnmarshalArray64K(b *testing.B) {
 func BenchmarkPBIOMarshalNestedStruct(b *testing.B) {
 	enc, _ := newBenchCodec()
 	v := workload.NestedStruct(8, 4)
-	b.SetBytes(int64(pbio.EncodedSize(v)))
+	size, err := enc.EncodedSize(v)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(size))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := enc.Marshal(v); err != nil {
@@ -252,7 +260,7 @@ func benchLoopbackCall(b *testing.B, wire core.WireFormat) {
 // ---- hot-path regression benchmarks (PR 4) ----
 //
 // CI runs these with -bench Hotpath -benchmem -benchtime=100x as a
-// smoke gate; `make bench` produces the full BENCH_pr4.json report via
+// smoke gate; `make bench` produces the full BENCH_prN.json report via
 // the same measurements in internal/bench/hotpath.go.
 
 // BenchmarkHotpathEncodeReused is the compiled-plan encode into a reused

@@ -25,13 +25,14 @@
 // injection sequence.
 //
 // Hot-path mode measures the zero-allocation wire path (codec reuse,
-// pooled buffers, multiplexed TCP pool) and records BENCH_pr4.json;
-// -compare replays the suite against a recorded report and fails on
-// allocation regressions:
+// pooled buffers, multiplexed TCP pool); -benchout records the report
+// (`make bench PR=N` names it BENCH_prN.json) and -compare replays the
+// suite against a recorded report, failing on allocation regressions:
 //
-//	soapbench -hotpath                      # measure, write BENCH_pr4.json
-//	soapbench -hotpath -quick -compare      # CI regression gate
-//	soapbench -hotpath -cpuprofile cpu.out  # with pprof profiles
+//	soapbench -hotpath                                            # measure, print
+//	soapbench -hotpath -benchout BENCH_pr13.json                  # and record
+//	soapbench -hotpath -quick -compare -benchout BENCH_pr13.json  # regression gate
+//	soapbench -hotpath -cpuprofile cpu.out                        # with pprof profiles
 //
 // Observability: -obs addr serves the debug mux (/metrics,
 // /debug/quality, /debug/pprof) on addr for the duration of any run,
@@ -74,7 +75,7 @@ func run() error {
 	faults := flag.String("faults", "", "replay a named fault scenario (\"list\" to enumerate)")
 	seed := flag.Int64("seed", 1, "fault scenario seed (same scenario+seed = same injection sequence)")
 	hotpath := flag.Bool("hotpath", false, "measure the zero-allocation wire path")
-	benchout := flag.String("benchout", "BENCH_pr4.json", "hot-path report path (\"\" = don't write)")
+	benchout := flag.String("benchout", "", "hot-path report path: written, or with -compare read (\"\" = print only)")
 	compare := flag.Bool("compare", false, "with -hotpath: compare against the recorded report instead of rewriting it")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run")
 	memprofile := flag.String("memprofile", "", "write a heap profile at exit")

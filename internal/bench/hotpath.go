@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -21,14 +23,16 @@ import (
 
 // The hot-path benchmark harness: not a paper figure, but the PR-4
 // acceptance instrument. It measures the zero-allocation wire path three
-// ways and records the results in a JSON report (BENCH_pr4.json) that
-// `make bench-compare` replays against:
+// ways and records the results in a JSON report (BENCH_prN.json, one per
+// PR that moves these numbers; BENCH_pr4.json is the first of the series)
+// that `make bench-compare` replays against:
 //
 //   - codec: fresh-vs-reused PBIO encode/decode (ns/op, B/op, allocs/op
-//     via testing.Benchmark with allocation reporting);
+//     via testing.Benchmark with allocation reporting), for a 1,024-int
+//     array and for the 65,536-int bulk array (_64k rows);
 //   - roundtrip: a complete binary echo invocation over Loopback, pooled
 //     vs the unpooled baseline (bufpool.SetEnabled(false) on the same
-//     code path);
+//     code path), at the same two sizes;
 //   - tcp: real-socket echo at 1/8/64 concurrent callers, one
 //     multiplexed connection vs a pool of eight, with throughput and
 //     p50/p99 RTT.
@@ -63,10 +67,12 @@ type RoundTrip struct {
 	BOpDropPct float64 `json:"b_op_drop_pct"`
 }
 
-// HotpathReport is the BENCH_pr4.json schema.
+// HotpathReport is the BENCH_prN.json schema. The 64k members are absent
+// from reports recorded before PR 13.
 type HotpathReport struct {
 	Codec            []Metric  `json:"codec"`
 	RoundTrip        RoundTrip `json:"roundtrip"`
+	RoundTrip64K     RoundTrip `json:"roundtrip_64k"`
 	TCP              []TCPCell `json:"tcp"`
 	TCPServiceTimeUs float64   `json:"tcp_service_time_us"`
 	SpeedupAt64      float64   `json:"speedup_at_64"`
@@ -92,17 +98,21 @@ func RunHotpath(w io.Writer, quick bool, jsonPath string) (*HotpathReport, error
 	rep := &HotpathReport{}
 	fmt.Fprintln(w, "== hotpath: zero-allocation wire path ==")
 
-	rep.Codec = codecMetrics()
+	rep.Codec = append(codecMetrics(smallInts, ""), codecMetrics(bulkInts, "_64k")...)
 	fmt.Fprintf(w, "%-28s %12s %10s %10s\n", "codec", "ns/op", "B/op", "allocs/op")
 	for _, m := range rep.Codec {
 		fmt.Fprintf(w, "%-28s %12.0f %10d %10d\n", m.Name, m.NsPerOp, m.BytesPerOp, m.AllocsPerOp)
 	}
 
-	rep.RoundTrip = roundTripMetrics()
+	rep.RoundTrip = roundTripMetrics(smallInts, "")
+	rep.RoundTrip64K = roundTripMetrics(bulkInts, "_64k")
 	fmt.Fprintf(w, "\n%-28s %12s %10s %10s\n", "echo roundtrip (loopback)", "ns/op", "B/op", "allocs/op")
-	fmt.Fprintf(w, "%-28s %12.0f %10d %10d\n", rep.RoundTrip.Baseline.Name, rep.RoundTrip.Baseline.NsPerOp, rep.RoundTrip.Baseline.BytesPerOp, rep.RoundTrip.Baseline.AllocsPerOp)
-	fmt.Fprintf(w, "%-28s %12.0f %10d %10d\n", rep.RoundTrip.Pooled.Name, rep.RoundTrip.Pooled.NsPerOp, rep.RoundTrip.Pooled.BytesPerOp, rep.RoundTrip.Pooled.AllocsPerOp)
-	fmt.Fprintf(w, "B/op drop: %.1f%%\n", rep.RoundTrip.BOpDropPct)
+	for _, rt := range []RoundTrip{rep.RoundTrip, rep.RoundTrip64K} {
+		for _, m := range []Metric{rt.Baseline, rt.Pooled} {
+			fmt.Fprintf(w, "%-28s %12.0f %10d %10d\n", m.Name, m.NsPerOp, m.BytesPerOp, m.AllocsPerOp)
+		}
+		fmt.Fprintf(w, "B/op drop: %.1f%%\n", rt.BOpDropPct)
+	}
 
 	cells, err := tcpMetrics(quick)
 	if err != nil {
@@ -134,10 +144,19 @@ func RunHotpath(w io.Writer, quick bool, jsonPath string) (*HotpathReport, error
 	return rep, nil
 }
 
-// codecMetrics compares per-message codec cost with and without reuse.
-func codecMetrics() []Metric {
+// Array sizes of the codec and round-trip rows: the 8 KB payload PR 4's
+// pooling was judged on, and the 512 KB bulk array of the paper's Fig. 4/5
+// and the repository benchmark's bulk_array_pbio (the top slab class).
+const (
+	smallInts = 1024
+	bulkInts  = 65536
+)
+
+// codecMetrics compares per-message codec cost with and without reuse on
+// an n-int array; suffix tells the rows of one size from the other's.
+func codecMetrics(n int, suffix string) []Metric {
 	c := pbio.NewCodec(pbio.NewRegistry(pbio.NewMemServer()))
-	v := workload.IntArray(1024) // 8 KB payload
+	v := workload.IntArray(n)
 	wire, err := c.Marshal(v)
 	if err != nil {
 		panic(err)
@@ -145,28 +164,28 @@ func codecMetrics() []Metric {
 	buf := make([]byte, 0, len(wire)+64)
 	var into idl.Value
 	return []Metric{
-		measure("encode_fresh", func(b *testing.B) {
+		measure("encode_fresh"+suffix, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := c.Marshal(v); err != nil {
 					b.Fatal(err)
 				}
 			}
 		}),
-		measure("encode_reused", func(b *testing.B) {
+		measure("encode_reused"+suffix, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := c.AppendMarshal(buf[:0], v); err != nil {
 					b.Fatal(err)
 				}
 			}
 		}),
-		measure("decode_fresh", func(b *testing.B) {
+		measure("decode_fresh"+suffix, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := c.Unmarshal(wire); err != nil {
 					b.Fatal(err)
 				}
 			}
 		}),
-		measure("decode_reused", func(b *testing.B) {
+		measure("decode_reused"+suffix, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if err := c.UnmarshalInto(&into, wire); err != nil {
 					b.Fatal(err)
@@ -176,15 +195,15 @@ func codecMetrics() []Metric {
 	}
 }
 
-// roundTripMetrics measures a full binary echo invocation over Loopback,
-// pooling off (the pre-pooling baseline) then on — same binaries, same
-// code path, only bufpool behavior differs.
-func roundTripMetrics() RoundTrip {
+// roundTripMetrics measures a full binary echo invocation of an n-int
+// array over Loopback, pooling off (the pre-pooling baseline) then on —
+// same binaries, same code path, only bufpool behavior differs.
+func roundTripMetrics(n int, suffix string) RoundTrip {
 	fs := pbio.NewMemServer()
 	spec := echoSpec(2)
 	srv := newEchoServer(spec, fs)
 	client := newRigClient(spec, &core.Loopback{Server: srv}, fs, core.WireBinary)
-	v := workload.IntArray(1024)
+	v := workload.IntArray(n)
 	call := func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			resp, err := client.Call(context.Background(), "echoArray", nil, soap.Param{Name: "v", Value: v})
@@ -194,11 +213,15 @@ func roundTripMetrics() RoundTrip {
 			resp.Release()
 		}
 	}
+	// One P, as testing.AllocsPerRun pins it: the rig is one goroutine, and
+	// each time the scheduler moves it a pooled slab stays behind in the
+	// old P's private slot, which at 6 MiB a slab would decide B/op.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var rt RoundTrip
 	prev := bufpool.SetEnabled(false)
-	rt.Baseline = measure("baseline_unpooled", call)
+	rt.Baseline = measure("baseline_unpooled"+suffix, call)
 	bufpool.SetEnabled(true)
-	rt.Pooled = measure("pooled", call)
+	rt.Pooled = measure("pooled"+suffix, call)
 	bufpool.SetEnabled(prev)
 	if rt.Baseline.BytesPerOp > 0 {
 		rt.BOpDropPct = 100 * (1 - float64(rt.Pooled.BytesPerOp)/float64(rt.Baseline.BytesPerOp))
@@ -335,19 +358,23 @@ func CompareHotpath(w io.Writer, quick bool, jsonPath string) error {
 		return err
 	}
 	var fails []string
-	if cur.RoundTrip.Pooled.AllocsPerOp > 2*old.RoundTrip.Pooled.AllocsPerOp {
-		fails = append(fails, fmt.Sprintf("pooled roundtrip allocs/op %d > 2x recorded %d",
-			cur.RoundTrip.Pooled.AllocsPerOp, old.RoundTrip.Pooled.AllocsPerOp))
-	}
-	if old.RoundTrip.Pooled.BytesPerOp > 0 && cur.RoundTrip.Pooled.BytesPerOp > 3*old.RoundTrip.Pooled.BytesPerOp/2 {
-		fails = append(fails, fmt.Sprintf("pooled roundtrip B/op %d > 1.5x recorded %d",
-			cur.RoundTrip.Pooled.BytesPerOp, old.RoundTrip.Pooled.BytesPerOp))
+	for _, rt := range [][2]RoundTrip{{cur.RoundTrip, old.RoundTrip}, {cur.RoundTrip64K, old.RoundTrip64K}} {
+		now, was := rt[0].Pooled, rt[1].Pooled
+		if was.Name == "" {
+			continue // recorded before this row existed
+		}
+		if now.AllocsPerOp > 2*was.AllocsPerOp {
+			fails = append(fails, fmt.Sprintf("%s roundtrip allocs/op %d > 2x recorded %d",
+				now.Name, now.AllocsPerOp, was.AllocsPerOp))
+		}
+		if was.BytesPerOp > 0 && now.BytesPerOp > 3*was.BytesPerOp/2 {
+			fails = append(fails, fmt.Sprintf("%s roundtrip B/op %d > 1.5x recorded %d",
+				now.Name, now.BytesPerOp, was.BytesPerOp))
+		}
 	}
 	for _, m := range cur.Codec {
-		if m.Name == "encode_reused" || m.Name == "decode_reused" {
-			if m.AllocsPerOp > 0 {
-				fails = append(fails, fmt.Sprintf("%s allocates (%d allocs/op), want 0", m.Name, m.AllocsPerOp))
-			}
+		if strings.Contains(m.Name, "_reused") && m.AllocsPerOp > 0 {
+			fails = append(fails, fmt.Sprintf("%s allocates (%d allocs/op), want 0", m.Name, m.AllocsPerOp))
 		}
 	}
 	fmt.Fprintf(w, "\ncompare vs %s: ", jsonPath)

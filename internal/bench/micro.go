@@ -187,10 +187,10 @@ func fig5sizes(w io.Writer, quick bool) error {
 			return us(start)
 		})).Mean
 		table.AddRow(label,
-			fmt.Sprintf("%d", pbio.EncodedSize(v)),
+			fmt.Sprintf("%d", len(msg)-pbio.HeaderLen),
 			fmt.Sprintf("%d", len(xmlB)),
 			fmt.Sprintf("%d", len(xmlZ)),
-			fmt.Sprintf("%.1f", float64(len(xmlB))/float64(pbio.EncodedSize(v))),
+			fmt.Sprintf("%.1f", float64(len(xmlB))/float64(len(msg)-pbio.HeaderLen)),
 			fmt.Sprintf("%.1f", encUS),
 			fmt.Sprintf("%.1f", decUS),
 			fmt.Sprintf("%.1f", xencUS),

@@ -104,8 +104,11 @@ type binEnvelope struct {
 // smaller message types per invocation without renegotiating the spec.
 // The returned buffer comes from the bufpool and is owned by the caller
 // (release it with bufpool.Put once the frame is written; see the pool's
-// ownership rules). Parameters are encoded in place with AppendMarshal
-// and a backpatched length prefix — no per-parameter intermediate buffer.
+// ownership rules). The envelope's exact size is known before the first
+// byte is written (binaryEnvelopeSize), so the frame is built in one
+// pooled buffer that never grows: the buffer taken is the buffer
+// returned. Parameters are encoded in place with AppendMarshal and a
+// backpatched length prefix — no per-parameter intermediate buffer.
 //
 //soaplint:hotpath
 func marshalBinary(codec *pbio.Codec, kind byte, op string, hdr soap.Header, params []soap.Param) ([]byte, error) {
@@ -115,20 +118,19 @@ func marshalBinary(codec *pbio.Codec, kind byte, op string, hdr soap.Header, par
 	if len(op) > 0xFFFF {
 		return nil, fmt.Errorf("core: operation name too long (%d bytes)", len(op))
 	}
-	buf := bufpool.Get(256)
+	if len(params) > 0xFFFF {
+		return nil, fmt.Errorf("core: too many parameters (%d)", len(params))
+	}
+	size, err := binaryEnvelopeSize(codec, op, hdr, params)
+	if err != nil {
+		return nil, err
+	}
+	buf := bufpool.Get(size)
 	buf = append(buf, kind)
 	buf = appendString16(buf, op)
 	buf = appendHeader(buf, hdr)
-	if len(params) > 0xFFFF {
-		bufpool.Put(buf)
-		return nil, fmt.Errorf("core: too many parameters (%d)", len(params))
-	}
 	buf = binary.BigEndian.AppendUint16(buf, uint16(len(params)))
 	for _, p := range params {
-		if len(p.Name) > 0xFFFF {
-			bufpool.Put(buf)
-			return nil, fmt.Errorf("core: parameter name too long (%d bytes)", len(p.Name))
-		}
 		buf = appendString16(buf, p.Name)
 		buf = append(buf, 0, 0, 0, 0) // message length backpatched below
 		at := len(buf)
@@ -146,6 +148,29 @@ func marshalBinary(codec *pbio.Codec, kind byte, op string, hdr soap.Header, par
 		binary.BigEndian.PutUint32(buf[at-4:at], uint32(sz))
 	}
 	return buf, nil
+}
+
+// binaryEnvelopeSize returns the exact length of the frame marshalBinary
+// builds, and rejects what the frame cannot carry: a parameter name over
+// the u16 prefix, a value the codec cannot encode.
+//
+//soaplint:hotpath
+func binaryEnvelopeSize(codec *pbio.Codec, op string, hdr soap.Header, params []soap.Param) (int, error) {
+	size := 1 + 2 + len(op) + 2 + 2 // kind, op, header count, param count
+	for k, v := range hdr {
+		size += 2 + len(clip16(k)) + 2 + len(clip16(v))
+	}
+	for _, p := range params {
+		if len(p.Name) > 0xFFFF {
+			return 0, fmt.Errorf("core: parameter name too long (%d bytes)", len(p.Name))
+		}
+		n, err := codec.EncodedSize(p.Value)
+		if err != nil {
+			return 0, fmt.Errorf("core: parameter %q: %w", p.Name, err)
+		}
+		size += 2 + len(p.Name) + 4 + pbio.HeaderLen + n
+	}
+	return size, nil
 }
 
 // marshalBinaryFault encodes a fault frame into a pooled buffer the

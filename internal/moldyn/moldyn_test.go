@@ -59,7 +59,10 @@ func TestFrameSizeNearPaper(t *testing.T) {
 	// response data is about 4KB."
 	sim := NewSimulator(DefaultAtoms, 1)
 	v := sim.FrameAt(0).ToValue()
-	size := pbio.EncodedSize(v)
+	size, err := pbio.NewCodec(pbio.NewRegistry(pbio.NewMemServer())).EncodedSize(v)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if size < 2500 || size > 6500 {
 		t.Errorf("frame size = %d bytes, want ≈4KB", size)
 	}

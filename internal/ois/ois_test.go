@@ -104,7 +104,10 @@ func TestEventSizesMatchTableOne(t *testing.T) {
 		t.Fatal(err)
 	}
 	v := c.ToValue()
-	binSize := pbio.EncodedSize(v)
+	binSize, err := pbio.NewCodec(pbio.NewRegistry(pbio.NewMemServer())).EncodedSize(v)
+	if err != nil {
+		t.Fatal(err)
+	}
 	xmlBytes, err := xmlenc.Marshal("return", v)
 	if err != nil {
 		t.Fatal(err)

@@ -195,30 +195,27 @@ func (c *Codec) appendValue(dst []byte, v idl.Value) ([]byte, error) {
 	}
 }
 
-// EncodedSize returns the payload size in bytes a value will occupy on the
-// wire (header excluded). It matches what EncodeBody produces and lets the
-// microbenchmarks report message sizes without allocating.
-func EncodedSize(v idl.Value) int {
-	switch v.Type.Kind {
-	case idl.KindInt, idl.KindFloat:
-		return 8
-	case idl.KindChar:
-		return 1
-	case idl.KindString:
-		return 4 + len(v.Str)
-	case idl.KindList:
-		n := 4
-		for i := range v.List {
-			n += EncodedSize(v.List[i])
-		}
-		return n
-	case idl.KindStruct:
-		n := 0
-		for i := range v.Fields {
-			n += EncodedSize(v.Fields[i])
-		}
-		return n
-	default:
-		return 0
+// EncodedSize returns the payload size in bytes v will occupy on the wire
+// (header excluded; a framed message is HeaderLen more) — exactly what
+// EncodeBody produces, so a caller can take one buffer of the right size
+// before encoding. The size comes from the format's compiled plan, which
+// looks only at what decides the size (string lengths, list counts): a
+// value the encoder would reject can still get a size here. A type beyond
+// the plan machine, or a value whose shape the plan cannot walk, is
+// encoded by the dynamic walk and measured, which yields the encoder's
+// own diagnostic when it cannot be encoded.
+//
+//soaplint:hotpath
+func (c *Codec) EncodedSize(v idl.Value) (int, error) {
+	f, err := c.reg.RegisterType(v.Type)
+	if err != nil {
+		return 0, err
 	}
+	if p := f.Plan(); p != nil {
+		if n, ok := p.EncodedSize(&v); ok {
+			return n, nil
+		}
+	}
+	body, err := c.appendValue(nil, v)
+	return len(body), err
 }

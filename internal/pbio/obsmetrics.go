@@ -13,4 +13,6 @@ var (
 		"value-slab requests satisfied by a pooled slab")
 	slabPuts = obs.NewCounter("soapbinq_pool_slab_puts_total",
 		"value slabs returned to the pool by Release")
+	slabOversize = obs.NewCounter("soapbinq_pool_slab_oversize_total",
+		"value-slab requests above the largest class (allocated at exact size, dropped on Release)")
 )

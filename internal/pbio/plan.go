@@ -97,6 +97,12 @@ type Plan struct {
 	// scalar is the type kind when the whole plan is one scalar — the
 	// marker opList uses to select its tight array loops.
 	scalar idl.Kind
+
+	// fixedBytes is the total of the fixed runs and vars the strings and
+	// lists, in wire order: what EncodedSize adds up. Without vars,
+	// fixedBytes is fixedSize.
+	fixedBytes int
+	vars       []sizeVar
 }
 
 // Type returns the type the plan encodes.
@@ -109,6 +115,53 @@ func (p *Plan) FixedSize() (int, bool) {
 		return 0, false
 	}
 	return p.fixedSize, true
+}
+
+// sizeVar locates one variable-length node of a plan's type for
+// EncodedSize: the field indexes leading to it from the plan's root, and
+// for a list its element plan (nil for a string).
+type sizeVar struct {
+	path []int32
+	elem *Plan
+}
+
+// EncodedSize returns the exact number of payload bytes AppendEncode
+// appends for v. The fixed-width part is a constant of the plan; only the
+// strings and lists are visited, and a list of fixed-size elements is its
+// count times the element size, so a fixed-size type and a scalar array
+// cost no walk. ok is false when v lacks a field on the way to a string
+// or list; AppendEncode then rejects v.
+//
+//soaplint:hotpath
+func (p *Plan) EncodedSize(v *idl.Value) (size int, ok bool) {
+	size = p.fixedBytes
+	for i := range p.vars {
+		sv := &p.vars[i]
+		x := v
+		for _, a := range sv.path {
+			if int(a) >= len(x.Fields) {
+				return 0, false
+			}
+			x = &x.Fields[a]
+		}
+		if sv.elem == nil {
+			size += 4 + len(x.Str)
+			continue
+		}
+		size += 4
+		if sv.elem.fixedSize >= 0 {
+			size += len(x.List) * sv.elem.fixedSize
+			continue
+		}
+		for j := range x.List {
+			n, ok := sv.elem.EncodedSize(&x.List[j])
+			if !ok {
+				return 0, false
+			}
+			size += n
+		}
+	}
+	return size, true
 }
 
 // CompilePlan compiles a type into its codec plan. Types the plan
@@ -127,8 +180,14 @@ func CompilePlan(t *idl.Type) (*Plan, error) {
 		typ:       t,
 		prog:      c.prog,
 		subs:      c.subs,
-		fixedSize: typeFixedSize(t),
+		fixedSize: -1,
 		minSize:   minEncodedSize(t),
+
+		fixedBytes: c.fixedBytes,
+		vars:       c.vars,
+	}
+	if len(p.vars) == 0 {
+		p.fixedSize = p.fixedBytes
 	}
 	if len(p.prog) == 2 && p.prog[0].op == opCheck {
 		switch p.prog[1].op {
@@ -143,35 +202,18 @@ func CompilePlan(t *idl.Type) (*Plan, error) {
 	return p, nil
 }
 
-// typeFixedSize returns the exact payload size of t, or -1 when t
-// contains strings or lists.
-func typeFixedSize(t *idl.Type) int {
-	switch t.Kind {
-	case idl.KindInt, idl.KindFloat:
-		return 8
-	case idl.KindChar:
-		return 1
-	case idl.KindStruct:
-		total := 0
-		for _, f := range t.Fields {
-			n := typeFixedSize(f.Type)
-			if n < 0 {
-				return -1
-			}
-			total += n
-		}
-		return total
-	default:
-		return -1
-	}
-}
-
 type planCompiler struct {
 	prog []instr
 	subs []*Plan
 
 	runAt    int // index of the pending opCheck, -1 when no run is open
 	runBytes int
+
+	// For EncodedSize: the bytes of every fixed run, the field indexes from
+	// the root to the struct being emitted, and the strings and lists met.
+	fixedBytes int
+	path       []int32
+	vars       []sizeVar
 }
 
 // fixed accounts size bytes to the open fixed run, opening one if needed.
@@ -181,6 +223,16 @@ func (c *planCompiler) fixed(size int) {
 		c.prog = append(c.prog, instr{op: opCheck})
 	}
 	c.runBytes += size
+	c.fixedBytes += size
+}
+
+// variable records the string (elem nil) or list at field for EncodedSize.
+func (c *planCompiler) variable(field int, elem *Plan) {
+	path := append([]int32(nil), c.path...)
+	if field >= 0 {
+		path = append(path, int32(field))
+	}
+	c.vars = append(c.vars, sizeVar{path: path, elem: elem})
 }
 
 // flushRun patches the open run's opCheck with its final byte count.
@@ -209,6 +261,7 @@ func (c *planCompiler) emit(t *idl.Type, field int, depth int) error {
 	case idl.KindString:
 		c.flushRun()
 		c.prog = append(c.prog, instr{op: opStr, a: a})
+		c.variable(field, nil)
 	case idl.KindList:
 		c.flushRun()
 		sub, err := CompilePlan(t.Elem)
@@ -217,9 +270,11 @@ func (c *planCompiler) emit(t *idl.Type, field int, depth int) error {
 		}
 		c.subs = append(c.subs, sub)
 		c.prog = append(c.prog, instr{op: opList, a: a, n: int32(len(c.subs) - 1), typ: t})
+		c.variable(field, sub)
 	case idl.KindStruct:
 		if field >= 0 {
 			c.prog = append(c.prog, instr{op: opDown, a: a})
+			c.path = append(c.path, a)
 			depth++
 		}
 		c.prog = append(c.prog, instr{op: opStruct, n: int32(len(t.Fields)), typ: t})
@@ -230,6 +285,7 @@ func (c *planCompiler) emit(t *idl.Type, field int, depth int) error {
 		}
 		if field >= 0 {
 			c.prog = append(c.prog, instr{op: opUp})
+			c.path = c.path[:len(c.path)-1]
 		}
 	default:
 		return fmt.Errorf("pbio: plan: cannot compile kind %s", t.Kind)
@@ -246,10 +302,12 @@ func field(cur *idl.Value, a int32) *idl.Value {
 }
 
 // reserve grows dst's capacity for n more bytes in one step, so the
-// run's appends never reallocate individually.
+// run's appends never reallocate individually. Callers that encode into a
+// pooled buffer take it at Codec.EncodedSize and never grow here: a
+// regrowth would leave the pooled buffer behind without a Put.
 func reserve(dst []byte, n int) []byte {
 	if need := len(dst) + n; need > cap(dst) {
-		//lint:ignore pooledbuf plan growth path: one coalesced reallocation per undersized buffer, amortized away by pooled callers
+		//lint:ignore pooledbuf plan growth path for unsized callers (Marshal, tests): one coalesced reallocation per undersized buffer
 		grown := make([]byte, len(dst), need+need/2)
 		copy(grown, dst)
 		return grown
@@ -405,10 +463,20 @@ type planReader struct {
 
 func (d *planReader) rem() int { return len(d.buf) - d.pos }
 
+// take returns the next n bytes, which the caller has bounds-checked.
+//
 //soaplint:hotpath
-func (d *planReader) u64(big bool) uint64 {
-	b := d.buf[d.pos : d.pos+8]
-	d.pos += 8
+func (d *planReader) take(n int) []byte {
+	b := d.buf[d.pos : d.pos+n]
+	d.pos += n
+	return b
+}
+
+//soaplint:hotpath
+func (d *planReader) u64(big bool) uint64 { return readU64(d.take(8), big) }
+
+//soaplint:hotpath
+func readU64(b []byte, big bool) uint64 {
 	if big {
 		return binary.BigEndian.Uint64(b)
 	}
@@ -417,8 +485,7 @@ func (d *planReader) u64(big bool) uint64 {
 
 //soaplint:hotpath
 func (d *planReader) u32(big bool) uint32 {
-	b := d.buf[d.pos : d.pos+4]
-	d.pos += 4
+	b := d.take(4)
 	if big {
 		return binary.BigEndian.Uint32(b)
 	}
@@ -491,7 +558,7 @@ func (p *Plan) decodeInto(v *idl.Value, d *planReader, big bool) error {
 		case opStruct:
 			n := int(in.n)
 			if cap(cur.Fields) >= n {
-				cur.Fields = cur.Fields[:n]
+				cur.Fields = reuseValues(cur.Fields, n)
 			} else {
 				cur.Fields = getValues(n)
 			}
@@ -524,40 +591,46 @@ func (p *Plan) decodeList(x *idl.Value, listType *idl.Type, d *planReader, big b
 	}
 	x.Type = listType
 	if cap(x.List) >= n {
-		x.List = x.List[:n]
+		x.List = reuseValues(x.List, n)
 	} else {
 		x.List = getValues(n)
 	}
+	// Scalar arrays: one bounds check takes the whole run as a window that
+	// shrinks by an element per step, and the element type is loaded once.
 	switch p.scalar {
 	case idl.KindInt:
 		if d.rem() < 8*n {
 			return errPlanDecode
 		}
+		win, t := d.take(8*n), idl.Int()
 		for i := range x.List {
 			e := &x.List[i]
-			e.Type = idl.Int()
-			e.Int = int64(d.u64(big))
+			e.Type = t
+			e.Int = int64(readU64(win, big))
+			win = win[8:]
 		}
 		return nil
 	case idl.KindFloat:
 		if d.rem() < 8*n {
 			return errPlanDecode
 		}
+		win, t := d.take(8*n), idl.Float()
 		for i := range x.List {
 			e := &x.List[i]
-			e.Type = idl.Float()
-			e.Float = math.Float64frombits(d.u64(big))
+			e.Type = t
+			e.Float = math.Float64frombits(readU64(win, big))
+			win = win[8:]
 		}
 		return nil
 	case idl.KindChar:
 		if d.rem() < n {
 			return errPlanDecode
 		}
+		win, t := d.take(n), idl.Char()
 		for i := range x.List {
 			e := &x.List[i]
-			e.Type = idl.Char()
-			e.Char = d.buf[d.pos]
-			d.pos++
+			e.Type = t
+			e.Char = win[i]
 		}
 		return nil
 	}

@@ -167,3 +167,36 @@ func TestMoldynFrameZeroAllocSteadyState(t *testing.T) {
 		t.Fatal("decoded frame differs")
 	}
 }
+
+// TestBulkArrayZeroAllocSteadyState gates the call path's shape for a
+// bulk array (65,536 ints, the top slab class): encode into one buffer of
+// the size EncodedSize gives, decode into a fresh tree, Release. The
+// buffer never grows and the 6 MiB slab comes back from the pool.
+func TestBulkArrayZeroAllocSteadyState(t *testing.T) {
+	c := NewCodec(NewRegistry(NewMemServer()))
+	v := echoArrayValue(65536)
+	size, err := c.EncodedSize(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 0, HeaderLen+size)
+	var wire []byte
+	gateAllocs(t, "AppendMarshal(list<int> 65536) into EncodedSize bytes", func() {
+		if wire, err = c.AppendMarshal(buf[:0], v); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if len(wire) != cap(buf) || &wire[0] != &buf[:1][0] {
+		t.Fatalf("encoded %d bytes into a buffer of %d, same buffer: %v", len(wire), cap(buf), &wire[0] == &buf[:1][0])
+	}
+	if raceEnabled {
+		t.Skip("race-mode sync.Pool drops slabs at random; the decode gate is meaningless")
+	}
+	gateAllocs(t, "Unmarshal+Release(list<int> 65536)", func() {
+		got, err := c.Unmarshal(wire)
+		if err != nil || len(got.List) != 65536 {
+			t.Fatalf("decode: %v (%d elements)", err, len(got.List))
+		}
+		Release(&got)
+	})
+}

@@ -26,11 +26,26 @@ import (
 // is itself in the pool, which is what keeps the decoders' cap-based
 // slab reuse free of double ownership.
 
-// valClassSizes are the slab size classes in elements. idl.Value is
-// ~one cache line, so the largest class is a few hundred KiB — in line
-// with bufpool's retention cap. Larger slabs are allocated directly and
-// dropped on Release.
-var valClassSizes = [...]int{16, 128, 1024, 8192}
+// valClassSizes are the slab size classes in elements. An idl.Value is 96
+// bytes, so one pooled slab retains at most:
+//
+//	class (elements)    16     128    1024   8192    16384    32768   65536
+//	bytes per slab    1.5 KiB 12 KiB 96 KiB 768 KiB 1.5 MiB  3 MiB   6 MiB
+//
+// A pool miss allocates the whole class, not the n asked for, so above
+// 8,192 elements the classes step by 2x at most: a miss then costs less
+// than twice the slab the message needs (the 8x steps below that are a
+// few hundred KiB at worst). The top class holds the bulk arrays of the
+// paper's Fig. 4/5 (65,536 elements, 512 KB on the wire); requests above
+// it are allocated at their exact size, counted in
+// soapbinq_pool_slab_oversize_total, and dropped on Release.
+//
+// Nothing here adds retention of its own: the classes are sync.Pools, so
+// a class holds no more slabs than were released since the last garbage
+// collection — in steady state, the trees that were live at once — and
+// the runtime drops every pooled slab within two collection cycles of
+// its last use.
+var valClassSizes = [...]int{16, 128, 1024, 8192, 16384, 32768, 65536}
 
 var valPools [len(valClassSizes)]sync.Pool
 
@@ -55,6 +70,9 @@ func getValues(n int) []idl.Value {
 			break
 		}
 	}
+	if c < 0 {
+		slabOversize.Inc()
+	}
 	if c < 0 || !bufpool.Enabled() {
 		return make([]idl.Value, n)
 	}
@@ -66,6 +84,17 @@ func getValues(n int) []idl.Value {
 		return s[:n]
 	}
 	return make([]idl.Value, n, valClassSizes[c])
+}
+
+// reuseValues reslices s, which holds at least n, to n elements for a
+// decode into a tree the caller already owns. The elements a shrink cuts
+// off are released here: Release visits a slab up to its length only, so
+// a slab must be zero beyond it to be all-zero when filed.
+func reuseValues(s []idl.Value, n int) []idl.Value {
+	for i := n; i < len(s); i++ {
+		Release(&s[i])
+	}
+	return s[:n]
 }
 
 // putValues files a slab under the largest class its capacity serves.
@@ -100,7 +129,9 @@ func putValues(s []idl.Value) {
 // released at most once, through whichever alias the owner holds.
 //
 // Release walks only the members v.Type selects and zeroes as it goes,
-// maintaining the all-zero pool invariant above. Decoded trees are
+// maintaining the all-zero pool invariant above. A list whose declared
+// element type is a scalar or a string owns no slab below its own, so it
+// is zeroed in one clear, not element by element. Decoded trees are
 // always safe to release; a hand-built tree is too, unless it aliases a
 // slab at two positions (then the pool would hand the shared slab to
 // two future owners) — don't release those.
@@ -110,8 +141,12 @@ func Release(v *idl.Value) {
 	}
 	switch v.Type.Kind {
 	case idl.KindList:
-		for i := range v.List {
-			Release(&v.List[i])
+		if e := v.Type.Elem; e != nil && (e.Kind == idl.KindList || e.Kind == idl.KindStruct) {
+			for i := range v.List {
+				Release(&v.List[i])
+			}
+		} else {
+			clear(v.List)
 		}
 		putValues(v.List)
 	case idl.KindStruct:

@@ -104,6 +104,18 @@ func Random(t *idl.Type, seed uint64) idl.Value {
 	return randomValue(t, &r, 0)
 }
 
+// RandomList is Random for a list of exactly n elements of type elem:
+// Random keeps its lists under eight elements, and the bulk paths (slab
+// size classes, envelope sizing) only start at thousands.
+func RandomList(elem *idl.Type, n int, seed uint64) idl.Value {
+	r := rng(seed)
+	elems := make([]idl.Value, n)
+	for i := range elems {
+		elems[i] = randomValue(elem, &r, 1)
+	}
+	return idl.Value{Type: idl.List(elem), List: elems}
+}
+
 type rngState uint64
 
 func rng(seed uint64) rngState {

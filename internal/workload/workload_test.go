@@ -103,6 +103,17 @@ func TestRandomWellTyped(t *testing.T) {
 	}
 }
 
+func TestRandomList(t *testing.T) {
+	elem := idl.Struct("P", idl.F("id", idl.Int()), idl.F("tags", idl.List(idl.StringT())))
+	v := RandomList(elem, 9000, 5)
+	if err := v.Check(); err != nil {
+		t.Fatal(err)
+	}
+	if len(v.List) != 9000 || !v.Equal(RandomList(elem, 9000, 5)) || v.Equal(RandomList(elem, 9000, 6)) {
+		t.Error("RandomList must have exactly n elements and be deterministic per seed")
+	}
+}
+
 func TestRandomDepthBound(t *testing.T) {
 	// Deeply nested list types must terminate with bounded size.
 	typ := idl.List(idl.List(idl.List(idl.List(idl.List(idl.List(idl.Int()))))))
